@@ -111,7 +111,9 @@ SCHEMAS: dict[str, dict] = {
     },
     "family-dim": {
         "variants": {
-            "c1f0": {"flags": ["--g", "--e", "--eta", "--m", "--n", "--eps", "--r1", "--ell", "--h0"]},
+            "c1f0": {
+                "flags": ["--g", "--e (optional, default 0)", "--eta", "--m", "--n", "--eps", "--r1", "--ell", "--h0"]
+            },
             "c1f1": {"flags": ["--g", "--e", "--beta", "--rho", "--c2"]},
             "example": {"flags": ["--n", "--e (optional, default 1)"]},
             "maximize": {"flags": ["--g", "--eta", "--m", "--n", "--eps"]},

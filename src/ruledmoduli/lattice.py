@@ -15,7 +15,6 @@ declared 64-bit range raise instead of degrading.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -109,6 +108,17 @@ class DivisorClass:
         checked_int(self.b, "F coefficient")
         for c in self.exc:
             checked_int(c, "exceptional coefficient")
+
+    @classmethod
+    def _unchecked(cls, a: int, b: int, exc: tuple[int, ...], config: SurfaceConfig) -> "DivisorClass":
+        """Build a class without validation, for engines that have already
+        range-checked the coordinates and hold ``exc`` as a tuple of length m."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "exc", exc)
+        object.__setattr__(self, "config", config)
+        return self
 
     def dot(self, other: "DivisorClass") -> int:
         return intersect(self, other)
@@ -329,7 +339,3 @@ def h0_hirzebruch(config: SurfaceConfig, d: DivisorClass) -> int:
         return 0
     e = config.invariant_e
     return sum(max(0, d.b - k * e + 1) for k in range(d.a + 1))
-
-
-def config_to_json_str(config: SurfaceConfig) -> str:
-    return json.dumps(config.to_json(), sort_keys=True)

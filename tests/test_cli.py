@@ -1,7 +1,8 @@
+import argparse
 import json
 
 
-from ruledmoduli.cli import run
+from ruledmoduli.cli import build_parser, run
 
 CONFIG_00 = '{"genus":0,"e":0,"points":0}'
 CONFIG_G2 = '{"genus":2,"e":1,"points":0}'
@@ -164,6 +165,28 @@ class TestHappyPaths:
         code, out, _ = invoke(capsys, ["--schema", "walls"])
         assert code == 0
         assert json.loads(out)["subcommand"] == "walls"
+
+    def test_family_dim_schema_agrees_with_the_parser(self, capsys):
+        code, out, _ = invoke(capsys, ["--schema", "family-dim"])
+        assert code == 0
+        variants = json.loads(out)["schema"]["variants"]
+
+        def subparsers(parser):
+            action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            return action.choices
+
+        parsed = subparsers(subparsers(build_parser())["family-dim"])
+        assert set(parsed) == set(variants)
+        for name, parser in parsed.items():
+            documented = {
+                flag.split()[0]: "(optional" not in flag for flag in variants[name]["flags"]
+            }
+            required = {
+                action.option_strings[0]: action.required
+                for action in parser._actions
+                if action.option_strings and action.dest != "help"
+            }
+            assert documented == required, name
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "out.json"

@@ -1,12 +1,19 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 import hypothesis.strategies as st
 
-from conftest import brute_walls, config_with_divisors, random_chern, random_polarization
+from conftest import (
+    brute_walls,
+    config_with_divisors,
+    configs,
+    random_chern,
+    random_polarization,
+)
 from ruledmoduli import (
     ChernData,
+    IntegerOverflowError,
     InvalidPolarizationError,
     NotApplicableError,
     Polarization,
@@ -17,8 +24,34 @@ from ruledmoduli import (
     hodge_xi,
     intersect,
     is_suitable,
+    normalize_chern,
     wall_search,
 )
+
+
+@st.composite
+def wall_inputs(draw):
+    """A surface with g <= 2 and m <= 3, Chern data whose c1 has either
+    fibre-degree parity, and a polarization passing the positivity checks."""
+    cfg = draw(configs(max_genus=2, max_e=3, max_points=3))
+    coeff = st.integers(-1, 2)
+    c1 = cfg.divisor(draw(coeff), draw(coeff), tuple(draw(coeff) for _ in range(cfg.num_points)))
+    chern = ChernData(c1, draw(st.integers(0, 12)))
+    m, e = cfg.num_points, cfg.invariant_e
+    p = draw(st.integers(2 if m else 1, 4))
+    q = max(e * p, 0) + draw(st.integers(1, 6))
+    exc = tuple(-draw(st.integers(1, p - 1)) for _ in range(m))
+    try:
+        pol = Polarization(cfg.divisor(p, q, exc))
+    except InvalidPolarizationError:
+        assume(False)
+    return cfg, chern, pol
+
+
+def first_witness(search):
+    if search.walls:
+        return search.walls[0]
+    return search.boundary[0] if search.boundary else None
 
 
 @pytest.fixture
@@ -109,9 +142,30 @@ class TestEnumeration:
 
     def test_budget_exhaustion_raises(self, quadric):
         cfg, chern = quadric
-        with pytest.raises(SearchBoundsError) as info:
-            wall_search(cfg, chern, Polarization(cfg.divisor(3, 1)), max_candidates=0)
-        assert info.value.budget == 0
+        for query in (wall_search, is_suitable, certify_dv_zero):
+            with pytest.raises(SearchBoundsError) as info:
+                query(cfg, chern, Polarization(cfg.divisor(3, 1)), max_candidates=0)
+            assert info.value.budget == 0
+
+    def test_out_of_range_walls_raise_in_every_query(self):
+        # the first slice (a = 2) holds walls with zeta.L near -15 * 2^61
+        cfg = SurfaceConfig(0, 0, 0)
+        chern = ChernData(cfg.fiber(), 16)
+        pol = Polarization(cfg.divisor(2**61, 1))
+        for query in (wall_search, is_suitable, certify_dv_zero):
+            with pytest.raises(IntegerOverflowError):
+                query(cfg, chern, pol)
+
+    @given(wall_inputs())
+    def test_emitted_classes_are_checked_ones_of_nonnegative_length(self, data):
+        cfg, chern, pol = data
+        search = wall_search(cfg, chern, pol)
+        assert search.excluded_negative_length == 0
+        for wall in search.walls + search.boundary:
+            assert wall.ell >= 0
+            zeta = wall.zeta
+            checked = cfg.divisor(zeta.a, zeta.b, zeta.exc)
+            assert zeta == checked and hash(zeta) == hash(checked)
 
     def test_matches_brute_force_spot_checks(self):
         rng = random.Random(7)
@@ -150,6 +204,33 @@ class TestSuitability:
         cfg = SurfaceConfig(0, 1, 0)
         chern = ChernData(cfg.divisor(2, 1), 0)
         assert bool(is_suitable(cfg, chern, Polarization(cfg.divisor(1, 3))))
+
+
+class TestDecisionsAgreeWithEnumeration:
+    @given(wall_inputs())
+    def test_witness_and_boundary(self, data):
+        cfg, chern, pol = data
+        search = wall_search(cfg, chern, pol)
+        verdict = is_suitable(cfg, chern, pol)
+        assert verdict.witness == first_witness(search)
+        assert verdict.boundary == search.boundary
+        assert verdict.suitable == (verdict.witness is None)
+        if chern.c1.a % 2 == 0:
+            normalized = wall_search(cfg, normalize_chern(chern), pol)
+            certificate = certify_dv_zero(cfg, chern, pol)
+            assert certificate.separating_wall == first_witness(normalized)
+            assert certificate.boundary == normalized.boundary
+            assert certificate.certified == (certificate.separating_wall is None)
+
+    def test_anchor(self):
+        cfg = SurfaceConfig(0, 1, 3)
+        chern = ChernData(cfg.divisor(0, 1, (1, 1, 1)), 80)
+        pol = Polarization(cfg.divisor(3, 7, (-1, -1, -1)))
+        verdict = is_suitable(cfg, chern, pol)
+        search = wall_search(cfg, chern, pol)
+        assert not verdict
+        assert verdict.witness == search.walls[0]
+        assert len(verdict.boundary) == len(search.boundary) == 2492
 
 
 class TestCertifyDvZero:
