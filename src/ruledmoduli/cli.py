@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import families, invariants, stability, walls
@@ -36,384 +37,250 @@ class _Parser(argparse.ArgumentParser):
 
 
 @dataclass(frozen=True)
-class RunRequest:
-    subcommand: str
-    options: dict
-    output_path: str | None
+class _Command:
+    """One subcommand (or ``family-dim`` variant): its flags, result and handler.
+
+    ``flags`` maps each flag to its payload kind when it is required, or to
+    ``(kind, default)`` when it is optional.  ``handler`` takes the parsed
+    values by argparse destination name and returns ``(result, notes)``.
+    """
+
+    flags: dict
+    result: dict
+    handler: Callable[..., tuple[dict, list[str]]]
 
 
-_CONFIG_DOC = {"genus": "int >= 0", "e": "int (>= 0 when genus is 0)", "points": "int >= 0"}
 _DIVISOR_DOC = {"a": "int", "b": "int", "exc": "[int] of length points"}
-_WALL_DOC = {"zeta": _DIVISOR_DOC, "zeta_sq": "int", "ell": "int", "zF": "int", "zL": "int"}
-
-SCHEMAS: dict[str, dict] = {
-    "rr": {
-        "flags": {"--config": _CONFIG_DOC, "--divisor": _DIVISOR_DOC},
-        "result": {"chi": "int"},
-    },
-    "intersect": {
-        "flags": {"--config": _CONFIG_DOC, "--d1": _DIVISOR_DOC, "--d2": _DIVISOR_DOC},
-        "result": {"value": "int"},
-    },
-    "canonical": {
-        "flags": {"--config": _CONFIG_DOC},
-        "result": {"divisor": _DIVISOR_DOC},
-    },
-    "twist": {
-        "flags": {
-            "--config": _CONFIG_DOC,
-            "--c1": _DIVISOR_DOC,
-            "--c2": "int",
-            "--t": _DIVISOR_DOC,
-        },
-        "result": {"c1": _DIVISOR_DOC, "c2": "int", "discriminant": "int"},
-    },
-    "invariants": {
-        "flags": {
-            "--config": _CONFIG_DOC,
-            "--datum": {
-                "d": "int",
-                "r": "int",
-                "q": "[int >= 0] of length points",
-                "c1": _DIVISOR_DOC,
-                "c2": "int",
-            },
-        },
-        "result": {
-            "zeta": _DIVISOR_DOC,
-            "length": "int",
-            "discriminant": "int",
-            "unique": "bool",
-            "r0": "int | null (null when c1.a is odd)",
-            "degree_bound_satisfied": "bool",
-        },
-    },
-    "walls": {
-        "flags": {
-            "--config": _CONFIG_DOC,
-            "--c1": _DIVISOR_DOC,
-            "--c2": "int",
-            "--polarization": _DIVISOR_DOC,
-        },
-        "result": {
-            "walls": [_WALL_DOC],
-            "boundary": [_WALL_DOC],
-            "excluded_negative_length": "int",
-        },
-    },
-    "suitable": {
-        "flags": "same as walls",
-        "result": {"suitable": "bool", "witness": "wall | null", "boundary": [_WALL_DOC]},
-    },
-    "certify-dv0": {
-        "flags": "same as walls; c1.a must be even after twist normalization",
-        "result": {"certified": "bool", "d": "0 | null", "witness": "wall | null"},
-    },
-    "family-dim": {
-        "variants": {
-            "c1f0": {
-                "flags": ["--g", "--e (optional, default 0)", "--eta", "--m", "--n", "--eps", "--r1", "--ell", "--h0"]
-            },
-            "c1f1": {"flags": ["--g", "--e", "--beta", "--rho", "--c2"]},
-            "example": {"flags": ["--n", "--e (optional, default 1)"]},
-            "maximize": {"flags": ["--g", "--eta", "--m", "--n", "--eps"]},
-        },
-        "result": {
-            "c1f0 and c1f1": {
-                "family_dim": "int",
-                "moduli_dim": "int",
-                "ext1": "int",
-                "assumptions": [_DIVISOR_DOC],
-                "dominance": "equal | less | exceeds",
-            },
-            "example": {"dim": "int", "ext1": "int", "h0VD": "int"},
-            "maximize": {"r1": "int", "ell": "[int]", "h0": "int", "value": "int"},
-        },
-    },
-    "moduli-dim": {
-        "flags": {"--config": _CONFIG_DOC, "--c1": _DIVISOR_DOC, "--c2": "int"},
-        "result": {"dim": "int"},
-    },
-    "classify": {
-        "flags": {"--config": _CONFIG_DOC, "--c1": _DIVISOR_DOC, "--c2": "int"},
-        "result": {
-            "kind": "odd_fiber | even_fiber_genus_zero | even_fiber_positive_genus",
-            "rationality": "rational | stably_rational | unknown",
-            "hilbert_exponent": "int | null",
-            "description": "str",
-        },
-    },
-    "stability": {
-        "flags": {
-            "--config": _CONFIG_DOC,
-            "--sub": _DIVISOR_DOC,
-            "--quot": _DIVISOR_DOC,
-            "--ell": "int >= 0",
-            "--polarization": _DIVISOR_DOC,
-            "--box-a/--box-b/--box-exc": "optional int bounds",
-        },
-        "result": {
-            "verdict": "stable_certified | destabilizer_found | inconclusive",
-            "candidates": "[candidate records]",
-            "box": {"a": "int", "b": "int", "exc": "int"},
-            "notes": "[str]",
-        },
-    },
+# what --schema prints for each payload kind
+_KIND_DOCS = {
+    "config": {"genus": "int >= 0", "e": "int (>= 0 when genus is 0)", "points": "int >= 0"},
+    "divisor": _DIVISOR_DOC,
+    "datum": {"d": "int", "r": "int", "q": "[int >= 0] of length points", "c1": _DIVISOR_DOC, "c2": "int"},
+    "int": "int",
+    "ints": "[int] (JSON array)",
 }
 
 
-def _json_flag(text: str, what: str) -> dict:
+def _spec(spec) -> tuple[str, bool, object]:
+    """(kind, required, default) of a flag's table entry."""
+    return (spec, True, None) if isinstance(spec, str) else (spec[0], False, spec[1])
+
+
+def _parse(kind: str, text, flag: str, config: SurfaceConfig | None):
+    """A flag's value as a library object; every malformed JSON payload
+    becomes a UsageError that names the flag."""
+    if kind == "int":
+        return text  # argparse has converted it
     try:
         value = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise UsageError(f"{what} is not valid JSON: {exc}") from exc
+        raise UsageError(f"{flag} is not valid JSON: {exc}") from exc
     if not isinstance(value, (dict, list)):
-        raise UsageError(f"{what} must be a JSON object or array")
-    return value
-
-
-def _parse_config(text: str) -> SurfaceConfig:
+        raise UsageError(f"{flag} must be a JSON object or array")
+    if kind == "ints":
+        if not isinstance(value, list) or any(isinstance(x, bool) or not isinstance(x, int) for x in value):
+            raise UsageError(f"{flag} must be a JSON array of integers")
+        return tuple(value)
     try:
-        return SurfaceConfig.from_json(_json_flag(text, "--config"))
-    except ValueError as exc:
-        raise UsageError(f"--config: {exc}") from exc
-
-
-def _parse_divisor(text: str, config: SurfaceConfig, flag: str) -> DivisorClass:
-    try:
-        return DivisorClass.from_json(_json_flag(text, flag), config)
+        if kind == "config":
+            return SurfaceConfig.from_json(value)
+        return (DivisorClass if kind == "divisor" else ExtensionDatum).from_json(value, config)
     except ValueError as exc:
         raise UsageError(f"{flag}: {exc}") from exc
 
 
-def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
-    value = _json_flag(text, flag)
-    if not isinstance(value, list) or any(
-        isinstance(x, bool) or not isinstance(x, int) for x in value
-    ):
-        raise UsageError(f"{flag} must be a JSON array of integers")
-    return tuple(value)
+def _twist(config, c1, c2, t):
+    twisted = invariants.chern_twist(ChernData(c1, c2), t)
+    return {"c1": twisted.c1.to_json(), "c2": twisted.c2, "discriminant": twisted.discriminant}, []
+
+
+def _invariants(config, datum):
+    c1, c2 = datum.chern.c1, datum.chern.c2
+    return {
+        "zeta": invariants.zeta_class(datum).to_json(),
+        "length": invariants.subscheme_length(datum),
+        "discriminant": datum.chern.discriminant,
+        "unique": invariants.is_extension_unique(datum),
+        "r0": invariants.r0_generic(config.genus, c1.b, c2) if c1.a % 2 == 0 else None,
+        "degree_bound_satisfied": invariants.pushforward_degree_bound(datum.r, c1.b, config.genus, c2, datum.q),
+    }, []
+
+
+def _boundary_notes(boundary) -> list[str]:
+    if not boundary:
+        return []
+    return [f"{len(boundary)} wall class(es) meet the polarization exactly; the chamber boundary is not decided"]
+
+
+def _walls(config, c1, c2, polarization):
+    search = walls.wall_search(config, ChernData(c1, c2), walls.Polarization(polarization))
+    return {
+        "walls": [w.to_json() for w in search.walls],
+        "boundary": [w.to_json() for w in search.boundary],
+        "excluded_negative_length": search.excluded_negative_length,
+    }, []
+
+
+def _suitable(config, c1, c2, polarization):
+    verdict = walls.is_suitable(config, ChernData(c1, c2), walls.Polarization(polarization))
+    return {
+        "suitable": verdict.suitable,
+        "witness": None if verdict.witness is None else verdict.witness.to_json(),
+        "boundary": [w.to_json() for w in verdict.boundary],
+    }, _boundary_notes(verdict.boundary)
+
+
+def _certify_dv0(config, c1, c2, polarization):
+    certificate = walls.certify_dv_zero(config, ChernData(c1, c2), walls.Polarization(polarization))
+    witness = certificate.separating_wall
+    return {
+        "certified": certificate.certified,
+        "d": certificate.d_value,
+        "witness": None if witness is None else witness.to_json(),
+    }, _boundary_notes(certificate.boundary)
+
+
+def _family_report(report: families.FamilyReport):
+    if report.dominance is not families.Dominance.EXCEEDS:
+        return report.to_json(), []
+    return report.to_json(), [
+        "family dimension exceeds the moduli dimension; the input data is inconsistent with a dominating family"
+    ]
+
+
+def _c1f0(g, eta, m, n, eps, r1, h0, e, ell):
+    return _family_report(families.c1f0_report(SurfaceConfig(g, e, m), eta, n, eps, r1, ell, h0))
+
+
+def _c1f1(g, e, beta, rho, c2):
+    return _family_report(families.c1f1_report(SurfaceConfig(g, e, rho), beta, c2))
+
+
+def _example(n, e):
+    dims = families.reference_family_dims(n, e)
+    return {"dim": dims.family_dim, "ext1": dims.ext1, "h0VD": dims.h0_twist}, []
+
+
+def _maximize(g, eta, m, n, eps):
+    best = families.maximize_family_dim(g, eta, m, n, eps)
+    return {"r1": best.r1, "ell": list(best.ell), "h0": best.h0, "value": best.value}, []
+
+
+def _classify(config, c1, c2):
+    return families.classify_structure(config, ChernData(c1, c2)).to_json(), []
+
+
+def _stability(config, sub, quot, ell, polarization, box_a, box_b, box_exc):
+    pol = walls.Polarization(polarization)
+    bounds = (box_a, box_b, box_exc)
+    box = None
+    if bounds != (None, None, None):
+        if None in bounds:
+            raise UsageError("--box-a, --box-b and --box-exc must be given together")
+        box = stability.SearchBox(*bounds)
+    return stability.destabilizer_search(config, sub, quot, ell, pol, box).to_json(), []
+
+
+# The config comes first in every flag list: divisors and data need it to parse.
+_CHERN_FLAGS = {"--config": "config", "--c1": "divisor", "--c2": "int"}
+_WALL_FLAGS = {**_CHERN_FLAGS, "--polarization": "divisor"}
+_FAMILY_FLAGS = {"--g": "int", "--eta": "int", "--m": "int", "--n": "int", "--eps": "int"}
+_WALL_DOC = {"zeta": _DIVISOR_DOC, "zeta_sq": "int", "ell": "int", "zF": "int", "zL": "int"}
+_REPORT_DOC = {
+    "family_dim": "int", "moduli_dim": "int", "ext1": "int",
+    "assumptions": [_DIVISOR_DOC], "dominance": "equal | less | exceeds",
+}
+
+# One entry per subcommand, and one per variant under "family-dim".  The order
+# is argparse's order of choices in its messages.
+COMMANDS: dict[str, _Command | dict[str, _Command]] = {
+    "rr": _Command({"--config": "config", "--divisor": "divisor"}, {"chi": "int"},
+                   lambda config, divisor: ({"chi": euler_char(config, divisor)}, [])),
+    "intersect": _Command({"--config": "config", "--d1": "divisor", "--d2": "divisor"}, {"value": "int"},
+                          lambda config, d1, d2: ({"value": intersect(d1, d2)}, [])),
+    "canonical": _Command({"--config": "config"}, {"divisor": _DIVISOR_DOC},
+                          lambda config: ({"divisor": canonical_class(config).to_json()}, [])),
+    "twist": _Command({**_CHERN_FLAGS, "--t": "divisor"},
+                      {"c1": _DIVISOR_DOC, "c2": "int", "discriminant": "int"}, _twist),
+    "invariants": _Command({"--config": "config", "--datum": "datum"},
+                           {"zeta": _DIVISOR_DOC, "length": "int", "discriminant": "int", "unique": "bool",
+                            "r0": "int | null (null when c1.a is odd)", "degree_bound_satisfied": "bool"},
+                           _invariants),
+    "walls": _Command(_WALL_FLAGS, {"walls": [_WALL_DOC], "boundary": [_WALL_DOC], "excluded_negative_length": "int"},
+                      _walls),
+    "suitable": _Command(_WALL_FLAGS, {"suitable": "bool", "witness": "wall | null", "boundary": [_WALL_DOC]},
+                         _suitable),
+    "certify-dv0": _Command(_WALL_FLAGS, {"certified": "bool (c1.a even after twist normalization)",
+                                          "d": "0 | null", "witness": "wall | null"},
+                            _certify_dv0),
+    "family-dim": {
+        "c1f0": _Command({**_FAMILY_FLAGS, "--r1": "int", "--h0": "int", "--e": ("int", 0), "--ell": "ints"},
+                         _REPORT_DOC, _c1f0),
+        "c1f1": _Command({"--g": "int", "--e": "int", "--beta": "int", "--rho": "int", "--c2": "int"},
+                         _REPORT_DOC, _c1f1),
+        "example": _Command({"--n": "int", "--e": ("int", 1)}, {"dim": "int", "ext1": "int", "h0VD": "int"},
+                            _example),
+        "maximize": _Command(_FAMILY_FLAGS, {"r1": "int", "ell": "[int]", "h0": "int", "value": "int"}, _maximize),
+    },
+    "moduli-dim": _Command(_CHERN_FLAGS, {"dim": "int"},
+                           lambda config, c1, c2: ({"dim": families.moduli_dim(config, ChernData(c1, c2))}, [])),
+    "classify": _Command(_CHERN_FLAGS,
+                         {"kind": "odd_fiber | even_fiber_genus_zero | even_fiber_positive_genus",
+                          "rationality": "rational | stably_rational | unknown",
+                          "hilbert_exponent": "int | null", "description": "str"},
+                         _classify),
+    "stability": _Command({"--config": "config", "--sub": "divisor", "--quot": "divisor", "--ell": "int",
+                           "--polarization": "divisor", "--box-a": ("int", None), "--box-b": ("int", None),
+                           "--box-exc": ("int", None)},
+                          {"verdict": "stable_certified | destabilizer_found | inconclusive",
+                           "candidates": "[candidate records]", "box": {"a": "int", "b": "int", "exc": "int"},
+                           "notes": "[str]"},
+                          _stability),
+}
+
+
+def _schema(entry) -> dict:
+    if isinstance(entry, dict):
+        return {"variants": {name: _schema(command) for name, command in entry.items()}}
+    flags = {}
+    for flag, spec in entry.flags.items():
+        kind, required, default = _spec(spec)
+        flags[flag] = {"payload": _KIND_DOCS[kind], "required": required}
+        if not required:
+            flags[flag]["default"] = default
+    return {"flags": flags, "result": entry.result}
+
+
+def _add_commands(subparsers, table: dict) -> None:
+    for name, entry in table.items():
+        parser = subparsers.add_parser(name)
+        if isinstance(entry, dict):
+            _add_commands(parser.add_subparsers(dest="variant"), entry)
+            continue
+        for flag, spec in entry.flags.items():
+            kind, required, default = _spec(spec)
+            kwargs = {"type": int} if kind == "int" else {}
+            parser.add_argument(flag, required=required, default=default, **kwargs)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="ruledmoduli", description=__doc__)
     parser.add_argument("--schema", metavar="SUBCOMMAND", help="print the JSON schema of a subcommand and exit")
     parser.add_argument("--output", metavar="PATH", help="write the JSON document to PATH instead of stdout")
-    sub = parser.add_subparsers(dest="subcommand")
-
-    def add(name: str, *flags: tuple[str, dict]):
-        p = sub.add_parser(name)
-        for flag, kwargs in flags:
-            p.add_argument(flag, **kwargs)
-        return p
-
-    req_str = {"required": True}
-    req_int = {"required": True, "type": int}
-
-    add("rr", ("--config", req_str), ("--divisor", req_str))
-    add("intersect", ("--config", req_str), ("--d1", req_str), ("--d2", req_str))
-    add("canonical", ("--config", req_str))
-    add("twist", ("--config", req_str), ("--c1", req_str), ("--c2", req_int), ("--t", req_str))
-    add("invariants", ("--config", req_str), ("--datum", req_str))
-    for name in ("walls", "suitable", "certify-dv0"):
-        add(name, ("--config", req_str), ("--c1", req_str), ("--c2", req_int), ("--polarization", req_str))
-    fam = sub.add_parser("family-dim")
-    fam_sub = fam.add_subparsers(dest="variant")
-    p = fam_sub.add_parser("c1f0")
-    for flag in ("--g", "--eta", "--m", "--n", "--eps", "--r1", "--h0"):
-        p.add_argument(flag, required=True, type=int)
-    p.add_argument("--e", type=int, default=0)
-    p.add_argument("--ell", required=True)
-    p = fam_sub.add_parser("c1f1")
-    for flag in ("--g", "--e", "--beta", "--rho", "--c2"):
-        p.add_argument(flag, required=True, type=int)
-    p = fam_sub.add_parser("example")
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--e", type=int, default=1)
-    p = fam_sub.add_parser("maximize")
-    for flag in ("--g", "--eta", "--m", "--n", "--eps"):
-        p.add_argument(flag, required=True, type=int)
-    add("moduli-dim", ("--config", req_str), ("--c1", req_str), ("--c2", req_int))
-    add("classify", ("--config", req_str), ("--c1", req_str), ("--c2", req_int))
-    add(
-        "stability",
-        ("--config", req_str),
-        ("--sub", req_str),
-        ("--quot", req_str),
-        ("--ell", req_int),
-        ("--polarization", req_str),
-        ("--box-a", {"type": int}),
-        ("--box-b", {"type": int}),
-        ("--box-exc", {"type": int}),
-    )
+    _add_commands(parser.add_subparsers(dest="subcommand"), COMMANDS)
     return parser
 
 
-def _wall_json(wall: walls.WallClass | None):
-    return None if wall is None else wall.to_json()
-
-
-def _dispatch(request: RunRequest) -> tuple[dict, list, list[str]]:
-    """Run one subcommand; returns (result, assumptions, warnings)."""
-    opt = request.options
-    name = request.subcommand
-    notes: list[str] = []
-
-    if name in {"rr", "intersect", "canonical", "twist", "invariants", "walls",
-                "suitable", "certify-dv0", "moduli-dim", "classify", "stability"}:
-        config = _parse_config(opt["config"])
-
-    if name == "rr":
-        d = _parse_divisor(opt["divisor"], config, "--divisor")
-        return {"chi": euler_char(config, d)}, [], notes
-    if name == "intersect":
-        d1 = _parse_divisor(opt["d1"], config, "--d1")
-        d2 = _parse_divisor(opt["d2"], config, "--d2")
-        return {"value": intersect(d1, d2)}, [], notes
-    if name == "canonical":
-        return {"divisor": canonical_class(config).to_json()}, [], notes
-    if name == "twist":
-        chern = ChernData(_parse_divisor(opt["c1"], config, "--c1"), opt["c2"])
-        t = _parse_divisor(opt["t"], config, "--t")
-        twisted = invariants.chern_twist(chern, t)
-        return (
-            {"c1": twisted.c1.to_json(), "c2": twisted.c2, "discriminant": twisted.discriminant},
-            [],
-            notes,
-        )
-    if name == "invariants":
-        try:
-            datum = ExtensionDatum.from_json(_json_flag(opt["datum"], "--datum"), config)
-        except ValueError as exc:
-            raise UsageError(f"--datum: {exc}") from exc
-        zeta = invariants.zeta_class(datum)
-        length = invariants.subscheme_length(datum)
-        c1 = datum.chern.c1
-        r0 = (
-            invariants.r0_generic(config.genus, c1.b, datum.chern.c2)
-            if c1.a % 2 == 0
-            else None
-        )
-        return (
-            {
-                "zeta": zeta.to_json(),
-                "length": length,
-                "discriminant": datum.chern.discriminant,
-                "unique": invariants.is_extension_unique(datum),
-                "r0": r0,
-                "degree_bound_satisfied": invariants.pushforward_degree_bound(
-                    datum.r, c1.b, config.genus, datum.chern.c2, datum.q
-                ),
-            },
-            [],
-            notes,
-        )
-    if name in {"walls", "suitable", "certify-dv0"}:
-        chern = ChernData(_parse_divisor(opt["c1"], config, "--c1"), opt["c2"])
-        pol = walls.Polarization(_parse_divisor(opt["polarization"], config, "--polarization"))
-        if name == "walls":
-            search = walls.wall_search(config, chern, pol)
-            return (
-                {
-                    "walls": [w.to_json() for w in search.walls],
-                    "boundary": [w.to_json() for w in search.boundary],
-                    "excluded_negative_length": search.excluded_negative_length,
-                },
-                [],
-                notes,
-            )
-        if name == "suitable":
-            verdict = walls.is_suitable(config, chern, pol)
-            if verdict.boundary:
-                notes.append(
-                    f"{len(verdict.boundary)} wall class(es) meet the polarization "
-                    "exactly; the chamber boundary is not decided"
-                )
-            return (
-                {
-                    "suitable": verdict.suitable,
-                    "witness": _wall_json(verdict.witness),
-                    "boundary": [w.to_json() for w in verdict.boundary],
-                },
-                [],
-                notes,
-            )
-        certificate = walls.certify_dv_zero(config, chern, pol)
-        if certificate.boundary:
-            notes.append(
-                f"{len(certificate.boundary)} wall class(es) meet the polarization "
-                "exactly; the chamber boundary is not decided"
-            )
-        return (
-            {
-                "certified": certificate.certified,
-                "d": certificate.d_value,
-                "witness": _wall_json(certificate.separating_wall),
-            },
-            [],
-            notes,
-        )
-    if name == "family-dim":
-        variant = opt.get("variant")
-        if variant == "c1f0":
-            config = SurfaceConfig(opt["g"], opt["e"], opt["m"])
-            ell = _parse_int_list(opt["ell"], "--ell")
-            report = families.c1f0_report(
-                config, opt["eta"], opt["n"], opt["eps"], opt["r1"], ell, opt["h0"]
-            )
-        elif variant == "c1f1":
-            config = SurfaceConfig(opt["g"], opt["e"], opt["rho"])
-            report = families.c1f1_report(config, opt["beta"], opt["c2"])
-        elif variant == "example":
-            dims = families.reference_family_dims(opt["n"], opt["e"])
-            return (
-                {"dim": dims.family_dim, "ext1": dims.ext1, "h0VD": dims.h0_twist},
-                [],
-                notes,
-            )
-        elif variant == "maximize":
-            result = families.maximize_family_dim(
-                opt["g"], opt["eta"], opt["m"], opt["n"], opt["eps"]
-            )
-            return (
-                {
-                    "r1": result.r1,
-                    "ell": list(result.ell),
-                    "h0": result.h0,
-                    "value": result.value,
-                },
-                [],
-                notes,
-            )
-        else:
-            raise UsageError("family-dim requires a variant: c1f0 | c1f1 | example | maximize")
-        if report.dominance is families.Dominance.EXCEEDS:
-            notes.append(
-                "family dimension exceeds the moduli dimension; the input data "
-                "is inconsistent with a dominating family"
-            )
-        doc = report.to_json()
-        return doc, list(doc["assumptions"]), notes
-    if name == "moduli-dim":
-        chern = ChernData(_parse_divisor(opt["c1"], config, "--c1"), opt["c2"])
-        return {"dim": families.moduli_dim(config, chern)}, [], notes
-    if name == "classify":
-        chern = ChernData(_parse_divisor(opt["c1"], config, "--c1"), opt["c2"])
-        return families.classify_structure(config, chern).to_json(), [], notes
-    if name == "stability":
-        sub_cls = _parse_divisor(opt["sub"], config, "--sub")
-        quot_cls = _parse_divisor(opt["quot"], config, "--quot")
-        pol = walls.Polarization(_parse_divisor(opt["polarization"], config, "--polarization"))
-        box = None
-        if any(opt.get(k) is not None for k in ("box_a", "box_b", "box_exc")):
-            if not all(opt.get(k) is not None for k in ("box_a", "box_b", "box_exc")):
-                raise UsageError("--box-a, --box-b and --box-exc must be given together")
-            box = stability.SearchBox(opt["box_a"], opt["box_b"], opt["box_exc"])
-        verdict = stability.destabilizer_search(
-            config, sub_cls, quot_cls, opt["ell"], pol, box
-        )
-        return verdict.to_json(), [], notes
-    raise UsageError(f"unknown subcommand {name!r}")
+def _execute(command: _Command, options: dict) -> tuple[dict, list[str]]:
+    """Parse the command's flags in table order and run its handler."""
+    values: dict = {}
+    config = None
+    for flag, spec in command.flags.items():
+        dest = flag[2:].replace("-", "_")
+        values[dest] = _parse(_spec(spec)[0], options[dest], flag, config)
+        if dest == "config":
+            config = values[dest]
+    return command.handler(**values)
 
 
 def _emit(doc: dict, output_path: str | None) -> None:
@@ -443,23 +310,30 @@ def run(argv: list[str] | None = None) -> int:
     subcommand = options.pop("subcommand", None)
 
     if schema_name is not None:
-        if schema_name not in SCHEMAS:
+        if schema_name not in COMMANDS:
             print(f"usage error: no schema for {schema_name!r}", file=sys.stderr)
-            print(f"known subcommands: {', '.join(sorted(SCHEMAS))}", file=sys.stderr)
+            print(f"known subcommands: {', '.join(sorted(COMMANDS))}", file=sys.stderr)
             return 2
-        _emit({"subcommand": schema_name, "schema": SCHEMAS[schema_name]}, output_path)
+        _emit({"subcommand": schema_name, "schema": _schema(COMMANDS[schema_name])}, output_path)
         return 0
     if subcommand is None:
         print("usage error: a subcommand is required", file=sys.stderr)
-        print(f"known subcommands: {', '.join(sorted(SCHEMAS))}", file=sys.stderr)
+        print(f"known subcommands: {', '.join(sorted(COMMANDS))}", file=sys.stderr)
         return 2
 
-    request = RunRequest(subcommand, options, output_path)
+    command = COMMANDS[subcommand]
     try:
+        if isinstance(command, dict):
+            variant = options.pop("variant")
+            if variant is None:
+                raise UsageError(f"{subcommand} requires a variant: {' | '.join(command)}")
+            command = command[variant]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result, assumptions, notes = _dispatch(request)
+            result, notes = _execute(command, options)
         notes.extend(str(w.message) for w in caught)
+        # family reports carry their vanishing assumptions; the envelope repeats them
+        assumptions = list(result.get("assumptions", []))
         _emit(
             {"status": "ok", "result": result, "assumptions": assumptions, "warnings": notes},
             output_path,

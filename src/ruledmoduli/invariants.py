@@ -23,7 +23,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import NegativeLengthWarning, ParityError, checked_int
-from .lattice import DivisorClass, SurfaceConfig, intersect
+from .lattice import DivisorClass, SurfaceConfig, _require_int, _require_keys, intersect
 
 
 def ceil_div(num: int, den: int) -> int:
@@ -57,8 +57,6 @@ class ChernData:
 
     @classmethod
     def from_json(cls, obj: dict, config: SurfaceConfig) -> "ChernData":
-        from .lattice import _require_int, _require_keys
-
         _require_keys(obj, {"c1", "c2"}, "Chern data")
         return cls(DivisorClass.from_json(obj["c1"], config), _require_int(obj["c2"], "c2"))
 
@@ -107,14 +105,10 @@ class ExtensionDatum:
 
     @classmethod
     def from_json(cls, obj: dict, config: SurfaceConfig) -> "ExtensionDatum":
-        from .lattice import _require_int, _require_keys
-
         _require_keys(obj, {"d", "r", "q", "c1", "c2"}, "extension datum")
         if not isinstance(obj["q"], list):
             raise ValueError("field 'q' must be a list of integers")
-        chern = ChernData(
-            DivisorClass.from_json(obj["c1"], config), _require_int(obj["c2"], "c2")
-        )
+        chern = ChernData.from_json({"c1": obj["c1"], "c2": obj["c2"]}, config)
         return cls(
             _require_int(obj["d"], "d"),
             _require_int(obj["r"], "r"),

@@ -120,9 +120,6 @@ class DivisorClass:
         object.__setattr__(self, "config", config)
         return self
 
-    def dot(self, other: "DivisorClass") -> int:
-        return intersect(self, other)
-
     @property
     def square(self) -> int:
         return intersect(self, self)

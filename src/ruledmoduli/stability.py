@@ -180,7 +180,9 @@ def destabilizer_search(
                 eff_sub = effectivity(sub - cand)
                 if eff_sub.verdict is not EffectivityVerdict.NOT_EFFECTIVE:
                     candidates.append(
-                        DestabilizerCandidate(cand, 1, eff_sub, margin2)
+                        DestabilizerCandidate(
+                            cand, 1, eff_sub, checked_int(margin2, "slope margin")
+                        )
                     )
                     if eff_sub.verdict is EffectivityVerdict.EFFECTIVE:
                         found = True
@@ -193,7 +195,9 @@ def destabilizer_search(
                         and h0_hirzebruch(config, cand + k_star * config.fiber()) > 0
                     )
                     candidates.append(
-                        DestabilizerCandidate(cand, 2, eff_quot, margin2, pruned)
+                        DestabilizerCandidate(
+                            cand, 2, eff_quot, checked_int(margin2, "slope margin"), pruned
+                        )
                     )
                     if not pruned:
                         if eff_quot.verdict is EffectivityVerdict.EFFECTIVE:

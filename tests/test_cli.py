@@ -166,21 +166,28 @@ class TestHappyPaths:
         assert code == 0
         assert json.loads(out)["subcommand"] == "walls"
 
-    def test_family_dim_schema_agrees_with_the_parser(self, capsys):
-        code, out, _ = invoke(capsys, ["--schema", "family-dim"])
-        assert code == 0
-        variants = json.loads(out)["schema"]["variants"]
+    def test_schema_agrees_with_the_parser(self, capsys):
+        """Every subcommand and family-dim variant documents exactly the flags
+        argparse accepts, each marked required as argparse has it."""
 
         def subparsers(parser):
             action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
             return action.choices
 
-        parsed = subparsers(subparsers(build_parser())["family-dim"])
-        assert set(parsed) == set(variants)
-        for name, parser in parsed.items():
-            documented = {
-                flag.split()[0]: "(optional" not in flag for flag in variants[name]["flags"]
-            }
+        commands = []
+        for name, parser in subparsers(build_parser()).items():
+            code, out, _ = invoke(capsys, ["--schema", name])
+            assert code == 0
+            schema = json.loads(out)["schema"]
+            if "variants" in schema:
+                variants = subparsers(parser)
+                assert set(variants) == set(schema["variants"])
+                commands += [(f"{name} {v}", variants[v], schema["variants"][v]) for v in variants]
+            else:
+                commands.append((name, parser, schema))
+        assert len(commands) == 15
+        for name, parser, schema in commands:
+            documented = {flag: doc["required"] for flag, doc in schema["flags"].items()}
             required = {
                 action.option_strings[0]: action.required
                 for action in parser._actions
@@ -222,6 +229,17 @@ class TestErrorPaths:
         doc = json.loads(out)
         assert doc["status"] == "error"
         assert doc["error"]["type"] == "NotApplicableError"
+
+    def test_out_of_range_slope_margin_is_domain_error(self, capsys):
+        code, out, _ = invoke(
+            capsys,
+            ["stability", "--config", CONFIG_00, "--sub", '{"a":2,"b":0,"exc":[]}',
+             "--quot", '{"a":-5,"b":0,"exc":[]}', "--ell", "0",
+             "--polarization", '{"a":1,"b":2305843009213693952,"exc":[]}',
+             "--box-a", "1", "--box-b", "1", "--box-exc", "0"],
+        )
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "IntegerOverflowError"
 
     def test_invalid_polarization_is_domain_error(self, capsys):
         code, out, _ = invoke(

@@ -3,6 +3,7 @@ import pytest
 from ruledmoduli import (
     BoxTooLargeError,
     EffectivityVerdict,
+    IntegerOverflowError,
     Polarization,
     SearchBox,
     StabilityOutcome,
@@ -125,6 +126,17 @@ class TestSearchMechanics:
         pol = Polarization(cfg.divisor(1, 5))
         with pytest.raises(ValueError):
             destabilizer_search(cfg, cfg.zero(), cfg.zero(), -1, pol)
+
+    def test_out_of_range_slope_margin_raises(self):
+        # L.C0 = 2^61: the margin 2A.L - c1.L of A = C0 is 5 * 2^61, as
+        # slope_margin itself reports
+        cfg = SurfaceConfig(0, 0, 0)
+        sub, quot = cfg.divisor(2), cfg.divisor(-5)
+        l_cls = cfg.divisor(1, 2**61)
+        with pytest.raises(IntegerOverflowError):
+            slope_margin(cfg.minimal_section(), sub + quot, l_cls)
+        with pytest.raises(IntegerOverflowError):
+            destabilizer_search(cfg, sub, quot, 0, Polarization(l_cls), SearchBox(1, 1, 0))
 
     def test_enlarging_the_box_never_flips_found_to_certified(self):
         cfg = SurfaceConfig(0, 0, 0)

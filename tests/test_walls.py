@@ -25,6 +25,7 @@ from ruledmoduli import (
     intersect,
     is_suitable,
     normalize_chern,
+    subscheme_length_from_zeta,
     wall_search,
 )
 
@@ -166,6 +167,11 @@ class TestEnumeration:
             zeta = wall.zeta
             checked = cfg.divisor(zeta.a, zeta.b, zeta.exc)
             assert zeta == checked and hash(zeta) == hash(checked)
+            # the kernel's closed forms agree with the object-level reference
+            assert wall.ell == subscheme_length_from_zeta(chern, zeta)
+            assert wall.zeta_sq == intersect(zeta, zeta)
+            assert wall.zF == intersect(zeta, cfg.fiber())
+            assert wall.zL == intersect(zeta, pol.cls)
 
     def test_matches_brute_force_spot_checks(self):
         rng = random.Random(7)
