@@ -22,7 +22,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import families, invariants, stability, walls
-from .errors import RuledModuliError
+from .errors import IntegerOverflowError, RuledModuliError, checked_int
 from .lattice import DivisorClass, SurfaceConfig, canonical_class, euler_char, intersect
 from .invariants import ChernData, ExtensionDatum
 
@@ -67,25 +67,28 @@ def _spec(spec) -> tuple[str, bool, object]:
 
 
 def _parse(kind: str, text, flag: str, config: SurfaceConfig | None):
-    """A flag's value as a library object; every malformed JSON payload
-    becomes a UsageError that names the flag."""
-    if kind == "int":
-        return text  # argparse has converted it
+    """A flag's value as a library object; every malformed payload and every
+    integer outside the 64-bit range becomes a UsageError that names the flag."""
+    if kind == "int":  # argparse has converted it; None is an omitted optional flag
+        try:
+            return text if text is None else checked_int(text, flag)
+        except IntegerOverflowError as exc:
+            raise UsageError(str(exc)) from exc
     try:
         value = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{flag} is not valid JSON: {exc}") from exc
     if not isinstance(value, (dict, list)):
         raise UsageError(f"{flag} must be a JSON object or array")
-    if kind == "ints":
-        if not isinstance(value, list) or any(isinstance(x, bool) or not isinstance(x, int) for x in value):
-            raise UsageError(f"{flag} must be a JSON array of integers")
-        return tuple(value)
     try:
+        if kind == "ints":
+            if not isinstance(value, list) or any(isinstance(x, bool) or not isinstance(x, int) for x in value):
+                raise UsageError(f"{flag} must be a JSON array of integers")
+            return tuple(checked_int(x, "entry") for x in value)
         if kind == "config":
             return SurfaceConfig.from_json(value)
         return (DivisorClass if kind == "divisor" else ExtensionDatum).from_json(value, config)
-    except ValueError as exc:
+    except (ValueError, IntegerOverflowError) as exc:
         raise UsageError(f"{flag}: {exc}") from exc
 
 

@@ -163,7 +163,7 @@ def r0_generic(genus: int, eta: int, c2: int) -> int:
     sub-line-bundles of the pushforward to the base curve; it satisfies
     eta - c2 - genus <= 2*r0 <= eta - c2 - genus + 1.
     """
-    return ceil_div(eta - c2 - genus, 2)
+    return nagata_min_r(eta - c2, genus)
 
 
 def pushforward_degree_bound(

@@ -120,10 +120,6 @@ class DivisorClass:
         object.__setattr__(self, "config", config)
         return self
 
-    @property
-    def square(self) -> int:
-        return intersect(self, self)
-
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         _require_same_config(self, other)
         exc = tuple(x + y for x, y in zip(self.exc, other.exc))

@@ -115,24 +115,6 @@ def slope_margin(a: DivisorClass, c1: DivisorClass, l_cls: DivisorClass) -> int:
     )
 
 
-def _pruning_twist(config: SurfaceConfig, quot: DivisorClass, ell: int, box: SearchBox) -> int:
-    """Largest fibre twist k with h^0(quot + k*F) <= ell, capped.
-
-    Sections of the ideal-twisted quotient drop by ell for a general
-    subscheme, so a branch-2 candidate A must have h^0(A + k*F) = 0 for any
-    such k; by monotonicity in k testing the largest one suffices.  When the
-    quotient has negative fibre degree every k qualifies and the cap rules
-    out all candidates with nonnegative C0-coefficient, which is exactly
-    what an everywhere-sectionless quotient forces.
-    """
-    cap = box.fiber_bound + ell + abs(quot.b) + 3
-    k = cap
-    floor = -(abs(quot.b) + cap + 4)
-    while k > floor and h0_hirzebruch(config, quot + k * config.fiber()) > ell:
-        k -= 1
-    return k
-
-
 def destabilizer_search(
     config: SurfaceConfig,
     sub: DivisorClass,
@@ -145,10 +127,17 @@ def destabilizer_search(
 ) -> StabilityVerdict:
     """Search the box for numerical destabilizers of the extension bundle.
 
-    Verdicts: DESTABILIZER_FOUND when some candidate with margin >= 0 has a
-    certified-effective branch that pruning cannot exclude; INCONCLUSIVE
-    when the only surviving branches carry UNKNOWN effectivity;
-    STABLE_CERTIFIED when every margin >= 0 candidate fails both branches.
+    Each box class A with margin >= 0 is recorded once per branch whose
+    class X - A is not certified non-effective.  The verdict is read off
+    the records: DESTABILIZER_FOUND when an unpruned one is certified
+    effective, INCONCLUSIVE when unpruned ones remain but all are UNKNOWN,
+    STABLE_CERTIFIED otherwise, including when every survivor is pruned.
+
+    Pruning needs exact section counts (genus 0, no blown-up points).  For
+    a general Z of length ell, I_Z(quot + kF) has no sections once
+    h^0(quot + kF) <= ell, so a branch-2 A with h^0(A + kF) > 0 for such a
+    k cannot inject.  On F_e that h^0 is positive exactly when a >= 0 and
+    k >= -b, and h^0(quot + kF) never decreases in k, so k = -b decides.
     """
     if ell < 0:
         raise ValueError(f"subscheme length must be >= 0, got {ell}")
@@ -161,14 +150,11 @@ def destabilizer_search(
         )
 
     l_cls = polarization.cls
-    c1 = sub + quot
-    c1_l = intersect(c1, l_cls)
+    c1_l = intersect(sub + quot, l_cls)
     exact_counts = config.genus == 0 and m == 0
-    k_star = _pruning_twist(config, quot, ell, box) if exact_counts else None
+    fiber = config.fiber()
 
     candidates: list[DestabilizerCandidate] = []
-    found = False
-    inconclusive = False
     exc_ranges = [range(-box.exceptional_bound, box.exceptional_bound + 1)] * m
     for a in range(-box.section_bound, box.section_bound + 1):
         for b in range(-box.fiber_bound, box.fiber_bound + 1):
@@ -177,37 +163,26 @@ def destabilizer_search(
                 margin2 = 2 * intersect(cand, l_cls) - c1_l
                 if margin2 < 0:
                     continue
-                eff_sub = effectivity(sub - cand)
-                if eff_sub.verdict is not EffectivityVerdict.NOT_EFFECTIVE:
-                    candidates.append(
-                        DestabilizerCandidate(
-                            cand, 1, eff_sub, checked_int(margin2, "slope margin")
-                        )
-                    )
-                    if eff_sub.verdict is EffectivityVerdict.EFFECTIVE:
-                        found = True
-                    else:
-                        inconclusive = True
-                eff_quot = effectivity(quot - cand)
-                if eff_quot.verdict is not EffectivityVerdict.NOT_EFFECTIVE:
-                    pruned = bool(
-                        exact_counts
-                        and h0_hirzebruch(config, cand + k_star * config.fiber()) > 0
+                for branch, x in ((1, sub), (2, quot)):
+                    eff = effectivity(x - cand)
+                    if eff.verdict is EffectivityVerdict.NOT_EFFECTIVE:
+                        continue
+                    pruned = (
+                        branch == 2
+                        and exact_counts
+                        and a >= 0
+                        and h0_hirzebruch(config, quot - b * fiber) <= ell
                     )
                     candidates.append(
                         DestabilizerCandidate(
-                            cand, 2, eff_quot, checked_int(margin2, "slope margin"), pruned
+                            cand, branch, eff, checked_int(margin2, "slope margin"), pruned
                         )
                     )
-                    if not pruned:
-                        if eff_quot.verdict is EffectivityVerdict.EFFECTIVE:
-                            found = True
-                        else:
-                            inconclusive = True
 
-    if found:
+    live = [c.effectivity.verdict for c in candidates if not c.pruned]
+    if EffectivityVerdict.EFFECTIVE in live:
         outcome = StabilityOutcome.DESTABILIZER_FOUND
-    elif inconclusive:
+    elif live:
         outcome = StabilityOutcome.INCONCLUSIVE
     else:
         outcome = StabilityOutcome.STABLE_CERTIFIED

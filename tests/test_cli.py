@@ -241,6 +241,19 @@ class TestErrorPaths:
         assert code == 1
         assert json.loads(out)["error"]["type"] == "IntegerOverflowError"
 
+    def test_out_of_range_payload_integer_is_usage_error(self, capsys):
+        code, out, err = invoke(
+            capsys,
+            ["rr", "--config", CONFIG_00, "--divisor", '{"a":0,"b":9223372036854775808,"exc":[]}'],
+        )
+        assert code == 2 and out == ""
+        assert "--divisor" in err and "64-bit range" in err
+
+    def test_out_of_range_int_flag_is_usage_error(self, capsys):
+        code, out, err = invoke(capsys, ["family-dim", "example", "--n", "99999999999999999999"])
+        assert code == 2 and out == ""
+        assert "--n 99999999999999999999" in err and "64-bit range" in err
+
     def test_invalid_polarization_is_domain_error(self, capsys):
         code, out, _ = invoke(
             capsys,

@@ -1,4 +1,6 @@
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from ruledmoduli import (
     BoxTooLargeError,
@@ -10,6 +12,7 @@ from ruledmoduli import (
     SurfaceConfig,
     default_box,
     destabilizer_search,
+    h0_hirzebruch,
     slope_margin,
 )
 
@@ -104,6 +107,67 @@ class TestBoundaryAndFailure:
             if c.effectivity.verdict is EffectivityVerdict.UNKNOWN and not c.pruned
         ]
         assert [c.divisor for c in survivors] == [cfg.divisor(0, -5, (1,))]
+
+
+def verdict_of(candidates) -> StabilityOutcome:
+    """The outcome the recorded candidates imply."""
+    live = [c for c in candidates if not c.pruned]
+    if any(c.effectivity.verdict is EffectivityVerdict.EFFECTIVE for c in live):
+        return StabilityOutcome.DESTABILIZER_FOUND
+    return StabilityOutcome.INCONCLUSIVE if live else StabilityOutcome.STABLE_CERTIFIED
+
+
+class TestPruning:
+    @given(
+        st.integers(0, 3),
+        st.tuples(st.integers(-3, 3), st.integers(-5, 5)),
+        st.tuples(st.integers(-3, 3), st.integers(-5, 5)),
+        st.integers(0, 8),
+        st.integers(1, 3),
+        st.integers(1, 8),
+    )
+    def test_pruning_matches_its_definition(self, e, sub, quot, ell, l_a, l_excess):
+        # a branch-2 candidate A is pruned exactly when some fibre twist k
+        # has h0(quot + kF) <= ell and h0(A + kF) > 0; the scanned window of
+        # k contains -b for every b in the box
+        cfg = SurfaceConfig(0, e, 0)
+        sub, quot = cfg.divisor(*sub), cfg.divisor(*quot)
+        pol = Polarization(cfg.divisor(l_a, e * l_a + l_excess))
+        box = SearchBox(4, 5, 0)
+        verdict = destabilizer_search(cfg, sub, quot, ell, pol, box)
+        fiber = cfg.fiber()
+        window = range(-box.fiber_bound - 3, box.fiber_bound + 4)
+        for c in verdict.candidates:
+            brute = c.branch == 2 and any(
+                h0_hirzebruch(cfg, quot + k * fiber) <= ell
+                and h0_hirzebruch(cfg, c.divisor + k * fiber) > 0
+                for k in window
+            )
+            assert c.pruned == brute
+        assert verdict.verdict is verdict_of(verdict.candidates)
+
+    def test_largest_length_prunes_every_branch_two_candidate(self):
+        cfg = SurfaceConfig(0, 1, 0)
+        pol = Polarization(cfg.divisor(1, 10))
+        verdict = destabilizer_search(
+            cfg, cfg.divisor(b=-1), cfg.divisor(b=2), 2**63 - 1, pol, SearchBox(3, 3, 0)
+        )
+        assert verdict.verdict is StabilityOutcome.STABLE_CERTIFIED
+        assert verdict.candidates
+        assert all(c.branch == 2 and c.pruned for c in verdict.candidates)
+
+    def test_quotient_near_the_range_edge_is_searched(self):
+        # A = F and 2F inject into I_Z(2^62 F): h0 exceeds ell by far
+        cfg = SurfaceConfig(0, 1, 0)
+        pol = Polarization(cfg.divisor(1, 10))
+        verdict = destabilizer_search(
+            cfg, cfg.divisor(b=1 - 2**62), cfg.divisor(b=2**62), 3, pol, SearchBox(2, 2, 0)
+        )
+        assert verdict.verdict is StabilityOutcome.DESTABILIZER_FOUND
+        assert [(c.divisor, c.branch, c.pruned) for c in verdict.candidates] == [
+            (cfg.divisor(b=1), 2, False),
+            (cfg.divisor(b=2), 2, False),
+        ]
 
 
 class TestSearchMechanics:
