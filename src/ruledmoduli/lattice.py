@@ -328,7 +328,18 @@ def h0_hirzebruch(config: SurfaceConfig, d: DivisorClass) -> int:
         )
     if d.config != config:
         raise ConfigMismatchError("divisor does not live on the given surface")
-    if d.a < 0:
+    return checked_int(_h0_hirzebruch(config.invariant_e, d.a, d.b), "section count")
+
+
+def _h0_hirzebruch(e: int, a: int, b: int) -> int:
+    """sum_{k=0..a} max(0, b - k*e + 1) in closed form, unchecked.
+
+    For e > 0 the positive terms are those with k <= b // e, an arithmetic
+    run of n = min(a, b // e) + 1 terms starting at b + 1.
+    """
+    if a < 0 or b < 0:
         return 0
-    e = config.invariant_e
-    return sum(max(0, d.b - k * e + 1) for k in range(d.a + 1))
+    if e == 0:
+        return (a + 1) * (b + 1)
+    n = min(a, b // e) + 1
+    return n * (b + 1) - e * n * (n - 1) // 2

@@ -7,7 +7,8 @@ injects either into the sub (branch 1: sub - A effective) or into the
 ideal-twisted quotient (branch 2: quot - A effective, and on surfaces with
 exact section counts the generality of the subscheme prunes further).  The
 search enumerates a finite coefficient box, so a STABLE_CERTIFIED verdict is
-always relative to the recorded box.
+always relative to the recorded box.  Inside it, a search costs one pass over
+the (a, exc) slices of the box plus one step per recorded candidate.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .lattice import (
     Effectivity,
     EffectivityVerdict,
     SurfaceConfig,
+    _h0_hirzebruch,
     effectivity,
-    h0_hirzebruch,
     intersect,
 )
 from .walls import Polarization
@@ -46,6 +47,7 @@ class SearchBox:
     def __post_init__(self) -> None:
         if min(self.section_bound, self.fiber_bound, self.exceptional_bound) < 0:
             raise ValueError("box bounds must be nonnegative")
+        checked_int(max(self.section_bound, self.fiber_bound, self.exceptional_bound), "box bound")
 
     def volume(self, num_points: int) -> int:
         return (
@@ -128,10 +130,16 @@ def destabilizer_search(
     """Search the box for numerical destabilizers of the extension bundle.
 
     Each box class A with margin >= 0 is recorded once per branch whose
-    class X - A is not certified non-effective.  The verdict is read off
-    the records: DESTABILIZER_FOUND when an unpruned one is certified
-    effective, INCONCLUSIVE when unpruned ones remain but all are UNKNOWN,
-    STABLE_CERTIFIED otherwise, including when every survivor is pruned.
+    class X - A is not certified non-effective, in (a, b, exc, branch)
+    order.  The verdict is read off the records: DESTABILIZER_FOUND when an
+    unpruned one is certified effective, INCONCLUSIVE when unpruned ones
+    remain but all are UNKNOWN, STABLE_CERTIFIED otherwise, including when
+    every survivor is pruned.  A certificate is relative to the box.
+
+    The doubled margin is linear in A with F.L > 0, and X - A is certified
+    non-effective exactly when a > X.a or, on genus 0, b > X.b: each slice
+    (a, exc) with a <= X.a records one run of b on branch X, so the search
+    costs one pass over the slices plus one step per record.
 
     Pruning needs exact section counts (genus 0, no blown-up points).  For
     a general Z of length ell, I_Z(quot + kF) has no sections once
@@ -145,39 +153,36 @@ def destabilizer_search(
         box = default_box(sub, quot)
     m = config.num_points
     if box.volume(m) > max_candidates:
-        raise BoxTooLargeError(
-            f"box volume {box.volume(m)} exceeds the cap of {max_candidates}"
-        )
+        raise BoxTooLargeError(f"box volume {box.volume(m)} exceeds the cap of {max_candidates}")
 
     l_cls = polarization.cls
     c1_l = intersect(sub + quot, l_cls)
-    exact_counts = config.genus == 0 and m == 0
-    fiber = config.fiber()
+    c0_l = intersect(config.minimal_section(), l_cls)
+    f_l = intersect(config.fiber(), l_cls)
+    exc_l = [intersect(config.exceptional(i), l_cls) for i in range(1, m + 1)]
 
-    candidates: list[DestabilizerCandidate] = []
-    exc_ranges = [range(-box.exceptional_bound, box.exceptional_bound + 1)] * m
+    candidates = []
     for a in range(-box.section_bound, box.section_bound + 1):
-        for b in range(-box.fiber_bound, box.fiber_bound + 1):
-            for exc in product(*exc_ranges):
-                cand = DivisorClass(a, b, exc, config)
-                margin2 = 2 * intersect(cand, l_cls) - c1_l
-                if margin2 < 0:
-                    continue
-                for branch, x in ((1, sub), (2, quot)):
-                    eff = effectivity(x - cand)
-                    if eff.verdict is EffectivityVerdict.NOT_EFFECTIVE:
-                        continue
-                    pruned = (
-                        branch == 2
-                        and exact_counts
-                        and a >= 0
-                        and h0_hirzebruch(config, quot - b * fiber) <= ell
-                    )
-                    candidates.append(
-                        DestabilizerCandidate(
-                            cand, branch, eff, checked_int(margin2, "slope margin"), pruned
-                        )
-                    )
+        records = []  # (b, exc, branch, rest) with doubled margin 2b*(F.L) - rest
+        for exc in product(range(-box.exceptional_bound, box.exceptional_bound + 1), repeat=m):
+            rest = c1_l - 2 * (a * c0_l + sum(c * w for c, w in zip(exc, exc_l)))
+            b_lo = max(-box.fiber_bound, -(-rest // (2 * f_l)))  # the least b of margin >= 0
+            for branch, x in ((1, sub), (2, quot)):
+                if a <= x.a:
+                    b_hi = min(box.fiber_bound, x.b) if config.genus == 0 else box.fiber_bound
+                    records += [(b, exc, branch, rest) for b in range(b_lo, b_hi + 1)]
+        records.sort()  # (b, exc, branch) is unique, so this is the box order
+        point = None
+        for b, exc, branch, rest in records:
+            if (b, exc) != point:  # the branches of one point share its class and margin
+                point, cand = (b, exc), DivisorClass._unchecked(a, b, exc, config)
+                margin2 = 2 * b * f_l - rest
+            eff = effectivity((sub if branch == 1 else quot) - cand)
+            pruned = branch == 2 and a >= 0 and config.genus == 0 and m == 0 and (
+                _h0_hirzebruch(config.invariant_e, quot.a, quot.b - b) <= ell
+            )
+            checked_int(margin2, "slope margin")
+            candidates.append(DestabilizerCandidate(cand, branch, eff, margin2, pruned))
 
     live = [c.effectivity.verdict for c in candidates if not c.pruned]
     if EffectivityVerdict.EFFECTIVE in live:
@@ -188,14 +193,9 @@ def destabilizer_search(
         outcome = StabilityOutcome.STABLE_CERTIFIED
 
     notes = (
-        (
-            f"certificate relative to the box |a| <= {box.section_bound}, "
-            f"|b| <= {box.fiber_bound}, |c_i| <= {box.exceptional_bound}"
-        ),
-        (
-            "margins only fall off outside the box: for k >= 0, "
-            "margin(A - k*F) = margin(A) - 2k*(L.F) and "
-            "margin(A - k*C0) = margin(A) - 2k*(L.C0), both strictly decreasing"
-        ),
+        f"certificate relative to the box |a| <= {box.section_bound}, "
+        f"|b| <= {box.fiber_bound}, |c_i| <= {box.exceptional_bound}",
+        "margins only fall off outside the box: for k >= 0, margin(A - k*F) = margin(A) - 2k*(L.F) "
+        "and margin(A - k*C0) = margin(A) - 2k*(L.C0), both strictly decreasing",
     )
     return StabilityVerdict(outcome, tuple(candidates), box, notes)

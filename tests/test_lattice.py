@@ -196,6 +196,22 @@ class TestHirzebruchSections:
         d = cfg.divisor(a, b)
         assert h0_hirzebruch(cfg, d) == euler_char(cfg, d) == (a + 1) * (b + 1)
 
+    def test_closed_form_matches_the_splitting_sum(self):
+        # the count is a closed form; the sum over the pushforward's summands
+        # O(b - k*e), k = 0..a, stays the reference
+        for e in range(5):
+            cfg = SurfaceConfig(0, e, 0)
+            for a in range(-3, 9):
+                for b in range(-6, 15):
+                    expected = sum(max(0, b - k * e + 1) for k in range(a + 1))
+                    assert h0_hirzebruch(cfg, cfg.divisor(a, b)) == expected
+
+    def test_out_of_range_count_is_an_error(self):
+        # 3C0 + 2^62 F on F_0 has (3 + 1) * (2^62 + 1) sections
+        cfg = SurfaceConfig(0, 0, 0)
+        with pytest.raises(IntegerOverflowError):
+            h0_hirzebruch(cfg, cfg.divisor(3, 2**62))
+
 
 class TestHodgeIndexSignature:
     @given(config_with_divisors(count=2, lo=-6, hi=6))

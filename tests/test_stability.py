@@ -1,17 +1,23 @@
+from itertools import product
+
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 
+import ruledmoduli.stability
 from ruledmoduli import (
     BoxTooLargeError,
+    DivisorClass,
     EffectivityVerdict,
     IntegerOverflowError,
+    InvalidPolarizationError,
     Polarization,
     SearchBox,
     StabilityOutcome,
     SurfaceConfig,
     default_box,
     destabilizer_search,
+    effectivity,
     h0_hirzebruch,
     slope_margin,
 )
@@ -156,6 +162,19 @@ class TestPruning:
         assert verdict.candidates
         assert all(c.branch == 2 and c.pruned for c in verdict.candidates)
 
+    def test_large_section_coefficient_is_counted_in_closed_form(self):
+        # h0(2^62 C0) = 2^62 + 1 on F_0 is a sum of 2^62 + 1 terms; the
+        # pruning test reads it off in one step
+        cfg = SurfaceConfig(0, 0, 0)
+        pol = Polarization(cfg.divisor(1, 1))
+        verdict = destabilizer_search(
+            cfg, cfg.divisor(1 - 2**62), cfg.divisor(2**62), 0, pol, SearchBox(1, 1, 0)
+        )
+        assert verdict.verdict is StabilityOutcome.DESTABILIZER_FOUND
+        assert [(c.divisor, c.branch, c.pruned) for c in verdict.candidates] == [
+            (cfg.minimal_section(), 2, False),
+        ]
+
     def test_quotient_near_the_range_edge_is_searched(self):
         # A = F and 2F inject into I_Z(2^62 F): h0 exceeds ell by far
         cfg = SurfaceConfig(0, 1, 0)
@@ -184,6 +203,12 @@ class TestSearchMechanics:
             destabilizer_search(
                 cfg, cfg.zero(), cfg.zero(), 0, pol, SearchBox(1000, 1000, 0)
             )
+
+    def test_box_bounds_are_range_checked(self):
+        # with m = 0 the exceptional bound does not enter the volume
+        with pytest.raises(IntegerOverflowError):
+            SearchBox(0, 0, 2**70)
+        assert SearchBox(0, 0, 2**63 - 1).to_json()["exc"] == 2**63 - 1
 
     def test_rejects_negative_length(self):
         cfg = SurfaceConfig(0, 1, 0)
@@ -239,3 +264,69 @@ class TestSearchMechanics:
         assert doc["verdict"] == "stable_certified"
         for candidate in doc["candidates"]:
             assert candidate["slope_margin"][1] == 2
+
+
+@st.composite
+def search_inputs(draw):
+    """A surface with g <= 2 and m <= 2, extension data, a polarization, and
+    an explicit box or None for the default one."""
+    g, m = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    e = draw(st.integers(0, 2) if g == 0 else st.integers(-1, 2))
+    cfg = SurfaceConfig(g, e, m)
+    default = draw(st.booleans())
+    coeff = st.integers(-2, 2) if default else st.integers(-3, 3)
+
+    def divisor():
+        return DivisorClass(draw(coeff), draw(coeff), tuple(draw(coeff) for _ in range(m)), cfg)
+
+    p = draw(st.integers(2 if m else 1, 4))
+    q = max(e * p, 0) + draw(st.integers(1, 6))
+    l_cls = DivisorClass(p, q, tuple(-draw(st.integers(1, p - 1)) for _ in range(m)), cfg)
+    try:
+        pol = Polarization(l_cls)
+    except InvalidPolarizationError:
+        assume(False)
+    box = None if default else SearchBox(*(draw(st.integers(0, hi)) for hi in (3, 4, 2)))
+    return cfg, divisor(), divisor(), draw(st.integers(0, 6)), pol, box
+
+
+class TestCompleteness:
+    @given(search_inputs())
+    def test_records_are_the_scan_of_the_box(self, case):
+        # every box point through slope_margin and effectivity, in box order
+        cfg, sub, quot, ell, pol, box = case
+        verdict = destabilizer_search(cfg, sub, quot, ell, pol, box)
+        box, c1 = verdict.box, sub + quot
+        exc_range = range(-box.exceptional_bound, box.exceptional_bound + 1)
+        scan = []
+        for a in range(-box.section_bound, box.section_bound + 1):
+            for b in range(-box.fiber_bound, box.fiber_bound + 1):
+                for exc in product(exc_range, repeat=cfg.num_points):
+                    cand = DivisorClass(a, b, exc, cfg)
+                    if slope_margin(cand, c1, pol.cls) < 0:
+                        continue
+                    for branch, x in ((1, sub), (2, quot)):
+                        if effectivity(x - cand).verdict is not EffectivityVerdict.NOT_EFFECTIVE:
+                            scan.append((cand, branch))
+        assert [(c.divisor, c.branch) for c in verdict.candidates] == scan
+        keys = [(c.divisor.a, c.divisor.b, c.divisor.exc, c.branch) for c in verdict.candidates]
+        assert keys == sorted(keys)
+        for c in verdict.candidates:
+            assert c.margin_times_two == slope_margin(c.divisor, c1, pol.cls)
+
+    def test_effectivity_runs_once_per_record(self, monkeypatch):
+        # g=1, m=2, box 5 (volume 14,641): UNKNOWN effectivity on most of it
+        calls = []
+
+        def counted(d):
+            calls.append(d)
+            return effectivity(d)
+
+        monkeypatch.setattr(ruledmoduli.stability, "effectivity", counted)
+        cfg = SurfaceConfig(1, 0, 2)
+        verdict = destabilizer_search(
+            cfg, cfg.divisor(0, -1, (0, 0)), cfg.divisor(0, 2, (1, 1)), 2,
+            Polarization(cfg.divisor(3, 8, (-1, -2))), SearchBox(5, 5, 5),
+        )
+        assert verdict.candidates
+        assert len(calls) == len(verdict.candidates)
