@@ -53,7 +53,6 @@ from .walls import (
     WallClass,
     WallSearch,
     certify_dv_zero,
-    enumerate_separating_walls,
     hodge_xi,
     is_suitable,
     wall_search,

@@ -109,7 +109,7 @@ def ext1_rr(
     if ell < 0:
         raise ValueError(f"subscheme length must be >= 0, got {ell}")
     difference = sub - quot
-    dual_class = canonical_class(config) + quot - sub
+    dual_class = canonical_class(config) - difference
     assumptions = (
         VanishingAssumption(difference),
         VanishingAssumption(dual_class, twisted_by_ideal=True),
@@ -200,8 +200,8 @@ def reference_family_dims(n: int, invariant_e: int = 1) -> ReferenceFamily:
     length = 2 * n
     ext1, _ = ext1_rr(config, sub, quot, length)
     h0_twist = 1 + (h0_hirzebruch(config, config.divisor(b=2 * n + 1)) - length)
-    dim = 2 * length + ext1 - h0_twist
-    return ReferenceFamily(dim, ext1, h0_twist)
+    dim = checked_int(2 * length + ext1 - h0_twist, "family dimension")
+    return ReferenceFamily(dim, ext1, checked_int(h0_twist, "section count"))
 
 
 class FamilyMaximizer(NamedTuple):
@@ -243,7 +243,9 @@ def maximize_family_dim(
         assert family_dim_c1f0(genus, eta, m, n, eps, r0, bumped, 1) == base - 1
 
     cap = 4 * c2 + 4 * genus - 3 + m
-    return FamilyMaximizer(r0, zeros, 1, cap - delta)
+    return FamilyMaximizer(
+        checked_int(r0, "section degree"), zeros, 1, checked_int(cap - delta, "family dimension")
+    )
 
 
 class StructureKind(Enum):

@@ -23,7 +23,14 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import NegativeLengthWarning, ParityError, checked_int
-from .lattice import DivisorClass, SurfaceConfig, _require_int, _require_keys, intersect
+from .lattice import (
+    DivisorClass,
+    SurfaceConfig,
+    _require_int,
+    _require_keys,
+    _require_same_config,
+    intersect,
+)
 
 
 def ceil_div(num: int, den: int) -> int:
@@ -133,8 +140,8 @@ def subscheme_length_from_zeta(chern: ChernData, zeta: DivisorClass) -> int:
     inspect infeasible classes and say why they are excluded.
     """
     c1 = chern.c1
-    diff = zeta - c1
-    if diff.a % 2 or diff.b % 2 or any(c % 2 for c in diff.exc):
+    _require_same_config(zeta, c1)
+    if any((z - c) % 2 for z, c in zip((zeta.a, zeta.b, *zeta.exc), (c1.a, c1.b, *c1.exc))):
         raise ParityError(
             f"zeta = {zeta} is not congruent to c1 = {c1} mod 2"
         )
@@ -194,7 +201,9 @@ def chern_twist(chern: ChernData, t: DivisorClass) -> ChernData:
     (c1, c2) maps to (c1 + 2T, c2 + c1.T + T^2); the discriminant
     4*c2 - c1^2 is unchanged.
     """
-    c1 = chern.c1 + 2 * t  # raises ConfigMismatchError on foreign T
+    # each partial sum lies coordinatewise between c1 and c1 + 2T, so only an
+    # out-of-range result raises; ConfigMismatchError on foreign T
+    c1 = chern.c1 + t + t
     c2 = checked_int(
         chern.c2 + intersect(chern.c1, t) + intersect(t, t), "twisted c2"
     )

@@ -126,7 +126,9 @@ class DivisorClass:
         return DivisorClass(self.a + other.a, self.b + other.b, exc, self.config)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return self + (-other)
+        _require_same_config(self, other)
+        exc = tuple(x - y for x, y in zip(self.exc, other.exc))
+        return DivisorClass(self.a - other.a, self.b - other.b, exc, self.config)
 
     def __neg__(self) -> "DivisorClass":
         return DivisorClass(-self.a, -self.b, tuple(-c for c in self.exc), self.config)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 
-from .errors import BoxTooLargeError, checked_int
+from .errors import BoxTooLargeError, ConfigMismatchError, checked_int
 from .lattice import (
     DivisorClass,
     Effectivity,
@@ -136,10 +136,11 @@ def destabilizer_search(
     remain but all are UNKNOWN, STABLE_CERTIFIED otherwise, including when
     every survivor is pruned.  A certificate is relative to the box.
 
-    The doubled margin is linear in A with F.L > 0, and X - A is certified
-    non-effective exactly when a > X.a or, on genus 0, b > X.b: each slice
-    (a, exc) with a <= X.a records one run of b on branch X, so the search
-    costs one pass over the slices plus one step per record.
+    The doubled margin is linear in A, with weights C0.L, F.L > 0 and Ei.L
+    read from ``polarization.checks``.  X - A is certified non-effective
+    exactly when a > X.a or, on genus 0, b > X.b: each slice (a, exc) with
+    a <= X.a records one run of b on branch X, so the search costs one pass
+    over the slices plus one step per record.
 
     Pruning needs exact section counts (genus 0, no blown-up points).  For
     a general Z of length ell, I_Z(quot + kF) has no sections once
@@ -155,11 +156,12 @@ def destabilizer_search(
     if box.volume(m) > max_candidates:
         raise BoxTooLargeError(f"box volume {box.volume(m)} exceeds the cap of {max_candidates}")
 
-    l_cls = polarization.cls
-    c1_l = intersect(sub + quot, l_cls)
-    c0_l = intersect(config.minimal_section(), l_cls)
-    f_l = intersect(config.fiber(), l_cls)
-    exc_l = [intersect(config.exceptional(i), l_cls) for i in range(1, m + 1)]
+    if polarization.config != config:
+        raise ConfigMismatchError("polarization does not live on the given surface")
+    checks = polarization.checks
+    c1_l = intersect(sub + quot, polarization.cls)
+    c0_l, f_l = checks["L.C0"], checks["L.F"]
+    exc_l = [checks[f"L.E{i}"] for i in range(1, m + 1)]
 
     candidates = []
     for a in range(-box.section_bound, box.section_bound + 1):

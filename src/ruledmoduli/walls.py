@@ -50,34 +50,29 @@ from .invariants import ChernData, normalize_chern
 from .lattice import DivisorClass, SurfaceConfig, intersect
 
 
-def polarization_checks(cls: DivisorClass) -> dict[str, int]:
-    """Necessary positivity values recorded for an ample class.
-
-    These are pairings with the known curves plus the self-intersection; a
-    class failing any of them cannot be ample.  Passing all of them is a
-    filter, not an ampleness certificate.
-    """
-    config = cls.config
-    checks = {
-        "L.L": intersect(cls, cls),
-        "L.F": intersect(cls, config.fiber()),
-        "L.C0": intersect(cls, config.minimal_section()),
-    }
-    for i in range(1, config.num_points + 1):
-        checks[f"L.E{i}"] = intersect(cls, config.exceptional(i))
-        checks[f"L.(F-E{i})"] = intersect(cls, config.fiber_transform(i))
-    return checks
-
-
 @dataclass(frozen=True)
 class Polarization:
-    """An ample candidate; construction rejects classes failing the checks."""
+    """An ample candidate; construction rejects classes failing the checks.
+
+    ``checks`` records necessary positivity values for an ample class L:
+    L.L, L.F, L.C0 and, for each blown-up point, L.Ei and L.(F-Ei).  A class
+    failing any of them cannot be ample; passing all of them is a filter, not
+    an ampleness certificate.  The searches read L's basis pairings from here.
+    """
 
     cls: DivisorClass
     checks: dict[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        checks = polarization_checks(self.cls)
+        L, config = self.cls, self.cls.config
+        checks = {
+            "L.L": intersect(L, L),
+            "L.F": intersect(L, config.fiber()),
+            "L.C0": intersect(L, config.minimal_section()),
+        }
+        for i in range(1, config.num_points + 1):
+            checks[f"L.E{i}"] = intersect(L, config.exceptional(i))
+            checks[f"L.(F-E{i})"] = intersect(L, config.fiber_transform(i))
         for name, value in checks.items():
             if value <= 0:
                 raise InvalidPolarizationError(
@@ -189,7 +184,7 @@ def _slices(config, chern, polarization, max_candidates, walk_runs):
     L = polarization.cls
     p, lb, l_exc = L.a, L.b, L.exc
     m = len(l_exc)
-    l_sq = intersect(L, L)
+    l_sq = polarization.checks["L.L"]
     reach = p * p * disc
     parities = tuple(g % 2 for g in c1.exc)
     left = max_candidates
@@ -272,19 +267,6 @@ def wall_search(
     walls.sort(key=WallClass.sort_key)
     boundary.sort(key=WallClass.sort_key)
     return WallSearch(tuple(walls), tuple(boundary))
-
-
-def enumerate_separating_walls(
-    config: SurfaceConfig,
-    chern: ChernData,
-    polarization: Polarization,
-    *,
-    max_candidates: int = 2_000_000,
-) -> list[WallClass]:
-    """Walls strictly separating F from L, sorted lexicographically."""
-    return list(
-        wall_search(config, chern, polarization, max_candidates=max_candidates).walls
-    )
 
 
 def _decide(config, chern, polarization, max_candidates):

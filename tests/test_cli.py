@@ -71,6 +71,17 @@ class TestHappyPaths:
             "c1": {"a": 0, "b": 1, "exc": [3]}, "c2": 2, "discriminant": 17
         }
 
+    def test_twist_whose_doubled_class_leaves_the_range(self, capsys):
+        # 2T = 2^63 F is out of range, but c1 + 2T = 2^62 F is not
+        doc = result_of(
+            capsys,
+            ["twist", "--config", '{"genus":0,"e":1,"points":0}',
+             "--c1", '{"a":0,"b":-4611686018427387904,"exc":[]}', "--c2", "0",
+             "--t", '{"a":0,"b":4611686018427387904,"exc":[]}'],
+        )
+        assert doc["result"]["c1"] == {"a": 0, "b": 2**62, "exc": []}
+        assert doc["result"]["c2"] == 0
+
     def test_invariants(self, capsys):
         datum = json.dumps(
             {"d": 1, "r": -3, "q": [0], "c1": {"a": 1, "b": 0, "exc": [1]}, "c2": 3}
@@ -240,6 +251,13 @@ class TestErrorPaths:
         )
         assert code == 1
         assert json.loads(out)["error"]["type"] == "IntegerOverflowError"
+
+    def test_out_of_range_family_dimension_is_domain_error(self, capsys):
+        code, out, _ = invoke(capsys, ["family-dim", "example", "--n", "2305843009213693951"])
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "IntegerOverflowError"
+        assert "18446744073709551605" in error["message"]
 
     def test_out_of_range_payload_integer_is_usage_error(self, capsys):
         code, out, err = invoke(

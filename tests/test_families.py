@@ -8,6 +8,7 @@ from ruledmoduli import (
     ChernData,
     Dominance,
     FamilyReport,
+    IntegerOverflowError,
     Rationality,
     StructureKind,
     SurfaceConfig,
@@ -167,6 +168,12 @@ class TestReferenceFamily:
             reference_family_dims(0)
         with pytest.raises(ValueError):
             reference_family_dims(3, invariant_e=0)
+
+    def test_out_of_range_dimension_is_an_error(self):
+        # ext^1 = 4n = 2^63 - 4 is in range, dim = 8n - 3 is not
+        n = 2**61 - 1
+        with pytest.raises(IntegerOverflowError, match="family dimension 18446744073709551605 "):
+            reference_family_dims(n)
 
 
 class TestMaximizer:

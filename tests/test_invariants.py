@@ -107,6 +107,14 @@ class TestSubschemeLength:
         with pytest.raises(ParityError):
             subscheme_length_from_zeta(chern, cfg.divisor(1, 1))
 
+    def test_parity_is_read_off_the_coordinates(self):
+        # zeta - c1 = (2^64 - 2)C0 is out of range, but on F_0 both squares
+        # vanish and the length is c2
+        cfg = SurfaceConfig(0, 0, 0)
+        datum = ExtensionDatum(d=-1, r=0, q=(), chern=ChernData(cfg.divisor(a=-(2**63)), 5))
+        assert zeta_class(datum) == cfg.divisor(a=2**63 - 2)
+        assert subscheme_length(datum) == 5
+
     @given(st.integers(0, 3), st.integers(0, 1), st.integers(-6, 20),
            st.integers(-10, 10), st.lists(st.integers(0, 5), max_size=4))
     def test_specialization_identity(self, genus, eta, c2, r1, ells):

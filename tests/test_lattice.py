@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from conftest import (
@@ -9,6 +9,7 @@ from conftest import (
     gram_product,
     rebuild_from_decomposition,
 )
+from ruledmoduli.errors import INT64_MAX, INT64_MIN
 from ruledmoduli import (
     ConfigMismatchError,
     DivisorClass,
@@ -66,6 +67,76 @@ class TestIntersection:
         assert intersect(x, y) == intersect(y, x) == gram_product(x, y)
         for s, t in [(2, -3), (0, 1), (-1, -1), (5, 4)]:
             assert intersect(s * x + t * y, z) == s * intersect(x, z) + t * intersect(y, z)
+        assert x - y == x + (-y)
+
+
+F0, F0_1 = SurfaceConfig(0, 0, 0), SurfaceConfig(0, 0, 1)
+EDGE = st.one_of(
+    st.integers(INT64_MIN, INT64_MIN + 2),
+    st.integers(INT64_MAX - 2, INT64_MAX),
+    st.integers(-2, 2),
+    st.integers(INT64_MIN, INT64_MAX),
+)
+
+
+@st.composite
+def edge_pairs(draw):
+    """Two classes with coordinates at or near the 64-bit edges; the second
+    lives on another surface about one time in five."""
+    cfg = draw(configs(max_points=2))
+    other = cfg
+    if draw(st.integers(0, 4)) == 0:
+        other = SurfaceConfig(cfg.genus, cfg.invariant_e + 1, cfg.num_points)
+    x, y = (
+        c.divisor(draw(EDGE), draw(EDGE), tuple(draw(EDGE) for _ in range(c.num_points)))
+        for c in (cfg, other)
+    )
+    return x, y
+
+
+class TestSubtraction:
+    """x - y is one class: only its own coordinates are range-checked."""
+
+    @given(edge_pairs())
+    # at -2^63: (2^63 - 1)C0 is in range, 2^63 C0 is not, a mismatch wins
+    @example((F0.divisor(-1), F0.divisor(INT64_MIN)))
+    @example((F0.divisor(0), F0.divisor(INT64_MIN)))
+    @example((F0_1.divisor(exc=(-1,)), F0_1.divisor(exc=(INT64_MIN,))))
+    @example((SurfaceConfig(0, 1, 0).divisor(0), F0.divisor(INT64_MIN)))
+    def test_only_the_difference_is_range_checked(self, pair):
+        x, y = pair
+        if x.config != y.config:
+            with pytest.raises(ConfigMismatchError):
+                x - y
+            return
+        coords = (x.a - y.a, x.b - y.b, *(p - q for p, q in zip(x.exc, y.exc)))
+        outside = [c for c in coords if not INT64_MIN <= c <= INT64_MAX]
+        if outside:
+            # the first coordinate of the true difference that leaves the range
+            with pytest.raises(IntegerOverflowError, match=f" {outside[0]} exceeds"):
+                x - y
+            return
+        d = x - y
+        assert (d.a, d.b, *d.exc) == coords
+        try:
+            assert x + (-y) == d
+        except IntegerOverflowError:
+            assert INT64_MIN in (y.a, y.b, *y.exc)
+
+    def test_builds_one_class(self, monkeypatch):
+        cfg = SurfaceConfig(1, 0, 2)
+        x, y = cfg.divisor(1, 2, (3, 4)), cfg.divisor(-5, 6, (7, -8))
+        built = []
+        post_init = DivisorClass.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(DivisorClass, "__post_init__", counting)
+        d = x - y
+        assert built == [d]
+        assert d == DivisorClass(6, -4, (-4, 12), cfg)
 
 
 class TestCanonicalClass:

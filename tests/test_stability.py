@@ -7,6 +7,7 @@ from hypothesis import assume, given
 import ruledmoduli.stability
 from ruledmoduli import (
     BoxTooLargeError,
+    ConfigMismatchError,
     DivisorClass,
     EffectivityVerdict,
     IntegerOverflowError,
@@ -215,6 +216,18 @@ class TestSearchMechanics:
         pol = Polarization(cfg.divisor(1, 5))
         with pytest.raises(ValueError):
             destabilizer_search(cfg, cfg.zero(), cfg.zero(), -1, pol)
+
+    def test_rejects_a_polarization_on_another_surface(self):
+        # SearchBox(0, 0, 0) records nothing here: A = 0 has margin -c1.L = -2
+        cfg, other = SurfaceConfig(0, 1, 0), SurfaceConfig(0, 2, 0)
+        pol = Polarization(cfg.divisor(1, 3))
+        for surface in (cfg, other):
+            sub = quot = surface.fiber()
+            for box in (SearchBox(0, 0, 0), None):
+                with pytest.raises(ConfigMismatchError):
+                    destabilizer_search(other, sub, quot, 0, pol, box)
+        verdict = destabilizer_search(cfg, cfg.fiber(), cfg.fiber(), 0, pol, SearchBox(0, 0, 0))
+        assert verdict.candidates == ()
 
     def test_out_of_range_slope_margin_raises(self):
         # L.C0 = 2^61: the margin 2A.L - c1.L of A = C0 is 5 * 2^61, as

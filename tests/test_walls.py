@@ -20,7 +20,6 @@ from ruledmoduli import (
     SearchBoundsError,
     SurfaceConfig,
     certify_dv_zero,
-    enumerate_separating_walls,
     hodge_xi,
     intersect,
     is_suitable,
@@ -81,11 +80,11 @@ class TestPolarization:
 class TestEnumeration:
     def test_no_wall_when_polarization_is_fiber_heavy(self, quadric):
         cfg, chern = quadric
-        assert enumerate_separating_walls(cfg, chern, Polarization(cfg.divisor(1, 3))) == []
+        assert wall_search(cfg, chern, Polarization(cfg.divisor(1, 3))).walls == ()
 
     def test_single_wall_when_section_heavy(self, quadric):
         cfg, chern = quadric
-        walls = enumerate_separating_walls(cfg, chern, Polarization(cfg.divisor(3, 1)))
+        walls = wall_search(cfg, chern, Polarization(cfg.divisor(3, 1))).walls
         assert len(walls) == 1
         wall = walls[0]
         assert wall.zeta == cfg.divisor(2, -1)
@@ -97,7 +96,7 @@ class TestEnumeration:
     def test_empty_window_when_discriminant_nonpositive(self):
         cfg = SurfaceConfig(0, 1, 0)
         chern = ChernData(cfg.divisor(2, 1), 0)  # 4*c2 <= c1^2
-        assert enumerate_separating_walls(cfg, chern, Polarization(cfg.divisor(1, 3))) == []
+        assert wall_search(cfg, chern, Polarization(cfg.divisor(1, 3))).walls == ()
 
     def test_boundary_wall_reported_separately(self, quadric):
         cfg, chern = quadric
@@ -111,7 +110,7 @@ class TestEnumeration:
         pol = Polarization(cfg.divisor(3, 1))
         c1 = chern.c1
         window_low = intersect(c1, c1) - 4 * chern.c2
-        for wall in enumerate_separating_walls(cfg, chern, pol):
+        for wall in wall_search(cfg, chern, pol).walls:
             diff = wall.zeta - c1
             assert diff.a % 2 == 0 and diff.b % 2 == 0
             assert all(c % 2 == 0 for c in diff.exc)
@@ -125,8 +124,8 @@ class TestEnumeration:
     def test_deterministic_and_sorted(self, quadric):
         cfg, chern = quadric
         pol = Polarization(cfg.divisor(3, 1))
-        first = enumerate_separating_walls(cfg, chern, pol)
-        second = enumerate_separating_walls(cfg, chern, pol)
+        first = wall_search(cfg, chern, pol).walls
+        second = wall_search(cfg, chern, pol).walls
         assert first == second
         keys = [w.sort_key() for w in first]
         assert keys == sorted(keys)
@@ -136,7 +135,7 @@ class TestEnumeration:
         pol = Polarization(cfg.divisor(3, 1))
         previous: set = set()
         for c2 in range(1, 9):
-            walls = enumerate_separating_walls(cfg, ChernData(cfg.fiber(), c2), pol)
+            walls = wall_search(cfg, ChernData(cfg.fiber(), c2), pol).walls
             current = {(w.zeta.a, w.zeta.b, w.zeta.exc) for w in walls}
             assert previous <= current
             previous = current
