@@ -286,77 +286,52 @@ def _execute(command: _Command, options: dict) -> tuple[dict, list[str]]:
     return command.handler(**values)
 
 
-def _emit(doc: dict, output_path: str | None) -> None:
+def run(argv: list[str] | None = None) -> int:
+    """Parse argv, run one subcommand, write the JSON document; returns the exit code."""
+    hint = "run 'ruledmoduli --schema <subcommand>' for payload schemas"
+    try:
+        options = vars(build_parser().parse_args(argv))
+        schema_name = options.pop("schema")
+        output_path = options.pop("output")
+        subcommand = options.pop("subcommand")
+        if schema_name is not None or subcommand is None:
+            hint = f"known subcommands: {', '.join(sorted(COMMANDS))}"
+            if schema_name is None:
+                raise UsageError("a subcommand is required")
+            if schema_name not in COMMANDS:
+                raise UsageError(f"no schema for {schema_name!r}")
+            doc, code = {"subcommand": schema_name, "schema": _schema(COMMANDS[schema_name])}, 0
+        else:
+            hint = f"run 'ruledmoduli --schema {subcommand}' for payload schemas"
+            command = COMMANDS[subcommand]
+            if isinstance(command, dict):
+                variant = options.pop("variant")
+                if variant is None:
+                    raise UsageError(f"{subcommand} requires a variant: {' | '.join(command)}")
+                command = command[variant]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result, notes = _execute(command, options)
+            notes.extend(str(w.message) for w in caught)
+            # family reports carry their vanishing assumptions; the envelope repeats them
+            assumptions = list(result.get("assumptions", []))
+            doc, code = {"status": "ok", "result": result, "assumptions": assumptions, "warnings": notes}, 0
+    except SystemExit as exc:  # --help and friends
+        return 0 if exc.code in (0, None) else 2
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        print(hint, file=sys.stderr)
+        return 2
+    except (RuledModuliError, ValueError) as exc:
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        doc, code = {"status": "error", "error": error, "assumptions": [], "warnings": []}, 1
     text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     if output_path:
         with open(output_path, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
-
-
-def run(argv: list[str] | None = None) -> int:
-    """Parse argv, run one subcommand, emit the JSON document; returns the exit code."""
-    parser = build_parser()
-    try:
-        namespace = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        print("run 'ruledmoduli --schema <subcommand>' for payload schemas", file=sys.stderr)
-        return 2
-    except SystemExit as exc:  # --help and friends
-        return 0 if exc.code in (0, None) else 2
-
-    options = vars(namespace)
-    schema_name = options.pop("schema", None)
-    output_path = options.pop("output", None)
-    subcommand = options.pop("subcommand", None)
-
-    if schema_name is not None:
-        if schema_name not in COMMANDS:
-            print(f"usage error: no schema for {schema_name!r}", file=sys.stderr)
-            print(f"known subcommands: {', '.join(sorted(COMMANDS))}", file=sys.stderr)
-            return 2
-        _emit({"subcommand": schema_name, "schema": _schema(COMMANDS[schema_name])}, output_path)
-        return 0
-    if subcommand is None:
-        print("usage error: a subcommand is required", file=sys.stderr)
-        print(f"known subcommands: {', '.join(sorted(COMMANDS))}", file=sys.stderr)
-        return 2
-
-    command = COMMANDS[subcommand]
-    try:
-        if isinstance(command, dict):
-            variant = options.pop("variant")
-            if variant is None:
-                raise UsageError(f"{subcommand} requires a variant: {' | '.join(command)}")
-            command = command[variant]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result, notes = _execute(command, options)
-        notes.extend(str(w.message) for w in caught)
-        # family reports carry their vanishing assumptions; the envelope repeats them
-        assumptions = list(result.get("assumptions", []))
-        _emit(
-            {"status": "ok", "result": result, "assumptions": assumptions, "warnings": notes},
-            output_path,
-        )
-        return 0
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        print(f"run 'ruledmoduli --schema {subcommand}' for payload schemas", file=sys.stderr)
-        return 2
-    except (RuledModuliError, ValueError) as exc:
-        _emit(
-            {
-                "status": "error",
-                "error": {"type": type(exc).__name__, "message": str(exc)},
-                "assumptions": [],
-                "warnings": [],
-            },
-            output_path,
-        )
-        return 1
+    return code
 
 
 def main() -> None:

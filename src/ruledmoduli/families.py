@@ -223,6 +223,8 @@ def maximize_family_dim(
     reported value is the dominance cap 4*(2n+eps) + 4g - 3 + m minus the
     parity defect delta = 2*r0 - (eta - (2n+eps) - g) in {0, 1}.
     """
+    if genus < 0:
+        raise ValueError(f"genus must be >= 0, got {genus}")
     if m < 0 or n < 0 or eps not in (0, 1):
         raise ValueError("need m >= 0, n >= 0 and eps in {0, 1}")
     c2 = 2 * n + eps

@@ -214,6 +214,13 @@ class TestHappyPaths:
         assert code == 0 and out == ""
         assert json.loads(path.read_text())["result"] == {"dim": 5, "ext1": 4, "h0VD": 3}
 
+    def test_help(self, capsys):
+        # only the prefix: argparse wraps the rest to the terminal width
+        for argv in (["--help"], ["rr", "--help"]):
+            code, out, err = invoke(capsys, argv)
+            assert code == 0 and err == ""
+            assert out.startswith("usage: ruledmoduli")
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, capsys):
@@ -240,6 +247,14 @@ class TestErrorPaths:
         doc = json.loads(out)
         assert doc["status"] == "error"
         assert doc["error"]["type"] == "NotApplicableError"
+
+    def test_domain_error_goes_to_the_output_file(self, capsys, tmp_path):
+        path = tmp_path / "out.json"
+        code, out, err = invoke(capsys, ["--output", str(path), "family-dim", "example", "--n", "0"])
+        assert code == 1 and out == "" and err == ""
+        doc = json.loads(path.read_text())
+        assert doc["status"] == "error"
+        assert doc["error"]["type"] == "ValueError"
 
     def test_out_of_range_slope_margin_is_domain_error(self, capsys):
         code, out, _ = invoke(
@@ -290,6 +305,11 @@ class TestErrorPaths:
         assert code == 2 and out == ""
         assert "unknown fields" in err
         assert "--schema" in err
+
+    def test_non_object_config_is_usage_error(self, capsys):
+        code, out, err = invoke(capsys, ["rr", "--config", "[1]", "--divisor", FIBER])
+        assert code == 2 and out == ""
+        assert "--config: surface config must be a JSON object" in err
 
     def test_malformed_json_is_usage_error(self, capsys):
         code, _, err = invoke(

@@ -203,6 +203,20 @@ class TestMaximizer:
         assert pushforward_degree_bound(result.r1, 1, 1, c2, result.ell)
         assert not pushforward_degree_bound(result.r1 - 1, 1, 1, c2, result.ell)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((-3, 0, 0, 1, 0), "genus must be >= 0, got -3"),
+            ((0, 0, -1, 1, 0), "need m >= 0, n >= 0 and eps in {0, 1}"),
+            ((0, 0, 0, -1, 0), "need m >= 0, n >= 0 and eps in {0, 1}"),
+            ((0, 0, 0, 1, 2), "need m >= 0, n >= 0 and eps in {0, 1}"),
+        ],
+    )
+    def test_rejects_out_of_range_parameters(self, args, message):
+        with pytest.raises(ValueError) as info:
+            maximize_family_dim(*args)
+        assert str(info.value) == message
+
 
 class TestClassification:
     def test_odd_fiber_rational_over_a_line(self):

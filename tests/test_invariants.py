@@ -211,6 +211,11 @@ class TestDatumValidation:
         with pytest.raises(ValueError):
             ExtensionDatum(d=0, r=0, q=(-1,), chern=ChernData(cfg.divisor(exc=(0,)), 1))
 
+    def test_one_multiplicity_per_point(self):
+        cfg = SurfaceConfig(0, 1, 2)
+        with pytest.raises(ValueError, match="expected 2 multiplicities, got 1"):
+            ExtensionDatum(d=0, r=0, q=(0,), chern=ChernData(cfg.zero(), 1))
+
     def test_d_convention(self):
         cfg = SurfaceConfig(0, 1, 0)
         with pytest.raises(ValueError):

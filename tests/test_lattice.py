@@ -13,6 +13,7 @@ from ruledmoduli.errors import INT64_MAX, INT64_MIN
 from ruledmoduli import (
     ConfigMismatchError,
     DivisorClass,
+    Effectivity,
     EffectivityVerdict,
     IntegerOverflowError,
     SurfaceConfig,
@@ -52,6 +53,10 @@ class TestIntersection:
             intersect(d1, d2)
         with pytest.raises(ConfigMismatchError):
             d1 + d2
+        with pytest.raises(ConfigMismatchError):
+            euler_char(d2.config, d1)
+        with pytest.raises(ConfigMismatchError):
+            h0_hirzebruch(d2.config, d1)
 
     def test_overflow_is_an_error_not_a_wrap(self):
         cfg = SurfaceConfig(0, 1, 0)
@@ -193,6 +198,12 @@ class TestEffectivity:
         assert verdict.verdict is EffectivityVerdict.EFFECTIVE
         assert verdict.decomposition == {}
 
+    def test_certified_verdicts_carry_their_witness(self):
+        with pytest.raises(ValueError, match="decomposition"):
+            Effectivity(EffectivityVerdict.EFFECTIVE)
+        with pytest.raises(ValueError, match="violated condition"):
+            Effectivity(EffectivityVerdict.NOT_EFFECTIVE)
+
     def test_negative_fiber_is_not_effective(self):
         cfg = SurfaceConfig(0, 1, 0)
         verdict = effectivity(-cfg.fiber())
@@ -303,10 +314,16 @@ class TestValidationAndJson:
             SurfaceConfig(0, 0, -1)
         assert SurfaceConfig(1, -2, 0).rank == 2
         assert SurfaceConfig(2, 0, 3).rank == 5
+        with pytest.raises(ValueError, match="exceptional index 0 outside 1..3"):
+            SurfaceConfig(2, 0, 3).exceptional(0)
 
     def test_divisor_length_mismatch(self):
         with pytest.raises(ValueError):
             DivisorClass(0, 0, (1,), SurfaceConfig(0, 0, 0))
+
+    def test_scalars_must_be_integers(self):
+        with pytest.raises(TypeError):
+            SurfaceConfig(0, 0, 0).fiber() * 1.5
 
     def test_round_trips(self):
         cfg = SurfaceConfig(1, -1, 2)

@@ -209,6 +209,8 @@ class TestSearchMechanics:
         # with m = 0 the exceptional bound does not enter the volume
         with pytest.raises(IntegerOverflowError):
             SearchBox(0, 0, 2**70)
+        with pytest.raises(ValueError, match="nonnegative"):
+            SearchBox(-1, 0, 0)
         assert SearchBox(0, 0, 2**63 - 1).to_json()["exc"] == 2**63 - 1
 
     def test_rejects_negative_length(self):

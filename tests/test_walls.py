@@ -13,6 +13,7 @@ from conftest import (
 )
 from ruledmoduli import (
     ChernData,
+    ConfigMismatchError,
     IntegerOverflowError,
     InvalidPolarizationError,
     NotApplicableError,
@@ -146,6 +147,40 @@ class TestEnumeration:
             with pytest.raises(SearchBoundsError) as info:
                 query(cfg, chern, Polarization(cfg.divisor(3, 1)), max_candidates=0)
             assert info.value.budget == 0
+
+    @pytest.mark.parametrize(
+        "query, budget, passes",
+        [
+            (is_suitable, 483, False),
+            (is_suitable, 484, True),
+            (certify_dv_zero, 483, False),
+            (certify_dv_zero, 484, True),
+            # 484 exc prefixes + 1,232 walls + 132 boundary classes walked
+            (wall_search, 484, False),
+            (wall_search, 1847, False),
+            (wall_search, 1848, True),
+        ],
+    )
+    def test_budget_counts_prefixes_and_walked_classes(self, query, budget, passes):
+        cfg = SurfaceConfig(0, 1, 3)
+        chern = ChernData(cfg.divisor(0, 1, (1, 1, 1)), 20)
+        pol = Polarization(cfg.divisor(3, 7, (-1, -1, -1)))
+        if passes:
+            query(cfg, chern, pol, max_candidates=budget)
+        else:
+            with pytest.raises(SearchBoundsError) as info:
+                query(cfg, chern, pol, max_candidates=budget)
+            assert info.value.budget == budget
+
+    def test_rejects_data_on_another_surface(self, quadric):
+        cfg, chern = quadric
+        other = SurfaceConfig(0, 1, 0)
+        pol = Polarization(cfg.divisor(3, 1))
+        for query in (wall_search, is_suitable, certify_dv_zero):
+            with pytest.raises(ConfigMismatchError, match="Chern data"):
+                query(cfg, ChernData(other.fiber(), 2), pol)
+            with pytest.raises(ConfigMismatchError, match="polarization"):
+                query(cfg, chern, Polarization(other.divisor(1, 3)))
 
     def test_out_of_range_walls_raise_in_every_query(self):
         # the first slice (a = 2) holds walls with zeta.L near -15 * 2^61
