@@ -309,29 +309,35 @@ def run(argv: list[str] | None = None) -> int:
                 if variant is None:
                     raise UsageError(f"{subcommand} requires a variant: {' | '.join(command)}")
                 command = command[variant]
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                result, notes = _execute(command, options)
-            notes.extend(str(w.message) for w in caught)
-            # family reports carry their vanishing assumptions; the envelope repeats them
-            assumptions = list(result.get("assumptions", []))
-            doc, code = {"status": "ok", "result": result, "assumptions": assumptions, "warnings": notes}, 0
+            try:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    result, notes = _execute(command, options)
+            except (RuledModuliError, ValueError) as exc:
+                error = {"type": type(exc).__name__, "message": str(exc)}
+                doc, code = {"status": "error", "error": error, "assumptions": [], "warnings": []}, 1
+            else:
+                notes.extend(str(w.message) for w in caught)
+                # family reports carry their vanishing assumptions; the envelope repeats them
+                assumptions = list(result.get("assumptions", []))
+                doc, code = {"status": "ok", "result": result, "assumptions": assumptions, "warnings": notes}, 0
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        if output_path:  # opened only now, so a usage error leaves no file behind
+            try:
+                handle = open(output_path, "w", encoding="utf-8")
+            except OSError as exc:
+                raise UsageError(f"--output: {exc.strerror}: {output_path}") from exc
+            with handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except SystemExit as exc:  # --help and friends
         return 0 if exc.code in (0, None) else 2
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         print(hint, file=sys.stderr)
         return 2
-    except (RuledModuliError, ValueError) as exc:
-        error = {"type": type(exc).__name__, "message": str(exc)}
-        doc, code = {"status": "error", "error": error, "assumptions": [], "warnings": []}, 1
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    if output_path:
-        with open(output_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-    return code
 
 
 def main() -> None:

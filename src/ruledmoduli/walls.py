@@ -114,15 +114,15 @@ class WallSearch:
 
     ``walls`` strictly separate F from L (zeta.L < 0); ``boundary`` collects
     degenerate classes with zeta.L = 0, reported but never treated as
-    harmless.  ``excluded_negative_length`` is always 0 and kept for the
-    output format: the induced length c2 + (zeta^2 - c1^2)/4 equals
+    harmless.  ``excluded_negative_length`` is a class constant, 0, kept for
+    the output format: the induced length c2 + (zeta^2 - c1^2)/4 equals
     (zeta^2 - (c1^2 - 4*c2))/4, which the window's lower end makes >= 0, and
     zeta = c1 (mod 2) gives zeta^2 = c1^2 (mod 4), so the division is exact.
     """
 
     walls: tuple[WallClass, ...]
     boundary: tuple[WallClass, ...]
-    excluded_negative_length: int = 0
+    excluded_negative_length = 0
 
 
 @dataclass(frozen=True)

@@ -98,17 +98,21 @@ def test_criterion_3_maximizer():
                         r0 = ceil_div(eta - c2 - g, 2)
                         delta = 2 * r0 - (eta - c2 - g)
                         cap = 4 * c2 + 4 * g - 3 + m
+                        assert delta in (0, 1)
                         assert result.r1 == r0
                         assert result.ell == (0,) * m and result.h0 == 1
                         assert result.value <= cap
                         assert (result.value == cap) == (delta == 0)
-                        # uniqueness: every neighbor strictly decreases the count
+                        assert result.value == cap - delta
+                        # uniqueness: every neighbor decreases the count by its exact slope
                         base = family_dim_c1f0(g, eta, m, n, eps, r0, result.ell, 1)
-                        assert family_dim_c1f0(g, eta, m, n, eps, r0 + 1, result.ell, 1) < base
-                        assert family_dim_c1f0(g, eta, m, n, eps, r0, result.ell, 2) < base
+                        assert family_dim_c1f0(g, eta, m, n, eps, r0 + 1, result.ell, 1) == base - 2
+                        assert family_dim_c1f0(g, eta, m, n, eps, r0, result.ell, 2) == base - 1
                         if m:
                             bumped = (1,) + (0,) * (m - 1)
-                            assert family_dim_c1f0(g, eta, m, n, eps, r0, bumped, 1) < base
+                            assert family_dim_c1f0(g, eta, m, n, eps, r0, bumped, 1) == base - 1
+                        # r0 is the least admissible section degree
+                        assert pushforward_degree_bound(r0, eta, g, c2, result.ell)
                         assert not pushforward_degree_bound(r0 - 1, eta, g, c2, result.ell)
 
 

@@ -256,6 +256,12 @@ class TestErrorPaths:
         assert doc["status"] == "error"
         assert doc["error"]["type"] == "ValueError"
 
+    def test_usage_error_leaves_no_output_file(self, capsys, tmp_path):
+        path = tmp_path / "out.json"
+        code, out, _ = invoke(capsys, ["--output", str(path), "rr", "--config", "{not json", "--divisor", FIBER])
+        assert code == 2 and out == ""
+        assert not path.exists()
+
     def test_out_of_range_slope_margin_is_domain_error(self, capsys):
         code, out, _ = invoke(
             capsys,

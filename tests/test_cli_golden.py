@@ -2,9 +2,12 @@
 
 ``cli_golden.json`` pins the CLI's whole observable behaviour on the README
 examples, one call per subcommand and ``family-dim`` variant, and the usage
-and domain error paths.  Usage errors raised by argparse carry its wording,
-which is that of Python 3.11, the version the file was recorded with.  After
-an intended change of output, re-record the file with
+and domain error paths.  The same module checks that every successful
+result has exactly the keys its ``--schema`` documents, and that the module
+entry point ``python -m ruledmoduli.cli`` behaves as ``run``.  Usage errors
+raised by argparse carry its wording, which is that of Python 3.11, the
+version the file was recorded with.  After an intended change of output,
+re-record the file with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -12,14 +15,20 @@ an intended change of output, re-record the file with
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from ruledmoduli.cli import run
+import ruledmoduli
+from ruledmoduli.cli import COMMANDS, build_parser, run
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 CASES = json.loads(GOLDEN.read_text(encoding="utf-8"))
+BY_NAME = {case["name"]: case for case in CASES}
+OK_CASES = [case for case in CASES if case["exit"] == 0]
 
 
 def transcript(argv):
@@ -33,6 +42,25 @@ def transcript(argv):
 def test_transcript_matches_golden(case):
     expected = {key: case[key] for key in ("exit", "stdout", "stderr")}
     assert transcript(case["argv"]) == expected
+
+
+@pytest.mark.parametrize("case", OK_CASES, ids=[case["name"] for case in OK_CASES])
+def test_schema_names_the_result_keys(case):
+    options = build_parser().parse_args(case["argv"])
+    command = COMMANDS[options.subcommand]
+    if isinstance(command, dict):
+        command = command[options.variant]
+    assert set(json.loads(case["stdout"])["result"]) == set(command.result)
+
+
+@pytest.mark.parametrize("name", ["readme-family-dim-example", "example-n-zero", "missing-flag"])
+def test_module_entry_point_matches_run(name):
+    argv = BY_NAME[name]["argv"]
+    src = str(Path(ruledmoduli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-m", "ruledmoduli.cli", *argv],
+                           capture_output=True, text=True, env=env, check=False)
+    assert {"exit": child.returncode, "stdout": child.stdout, "stderr": child.stderr} == transcript(argv)
 
 
 if __name__ == "__main__":

@@ -196,6 +196,11 @@ class TestMaximizer:
         cap = 4 * 6 + 0 - 3 + 0
         assert result.value == cap - 1
 
+    def test_value_at_the_top_of_the_64_bit_range(self):
+        # c2 = 2^61 puts the cap at 2^63 - 1; only the returned values are range-checked
+        result = maximize_family_dim(0, 0, 2, 2**60, 0)
+        assert result == (-(2**60), (0, 0), 1, 2**63 - 1)
+
     def test_argmax_is_feasible_and_extremal(self):
         result = maximize_family_dim(1, 1, 2, 4, 1)
         c2 = 2 * 4 + 1
