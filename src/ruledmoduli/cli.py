@@ -51,7 +51,8 @@ class _Command:
 
 
 _DIVISOR_DOC = {"a": "int", "b": "int", "exc": "[int] of length points"}
-# what --schema prints for each payload kind
+# what --schema prints for each payload kind; a JSON object payload must have
+# exactly the keys documented here
 _KIND_DOCS = {
     "config": {"genus": "int >= 0", "e": "int (>= 0 when genus is 0)", "points": "int >= 0"},
     "divisor": _DIVISOR_DOC,
@@ -59,11 +60,52 @@ _KIND_DOCS = {
     "int": "int",
     "ints": "[int] (JSON array)",
 }
+# what the messages about a JSON object payload call it
+_KIND_NAMES = {"config": "surface config", "divisor": "divisor class", "datum": "extension datum"}
 
 
 def _spec(spec) -> tuple[str, bool, object]:
     """(kind, required, default) of a flag's table entry."""
     return (spec, True, None) if isinstance(spec, str) else (spec[0], False, spec[1])
+
+
+def _fields(obj, kind: str) -> dict:
+    """obj, checked to be a JSON object with exactly the keys of ``_KIND_DOCS[kind]``."""
+    name, keys = _KIND_NAMES[kind], _KIND_DOCS[kind].keys()
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name} must be a JSON object")
+    unknown, missing = obj.keys() - keys, keys - obj.keys()
+    if unknown:
+        raise ValueError(f"{name} has unknown fields: {sorted(unknown)}")
+    if missing:
+        raise ValueError(f"{name} is missing fields: {sorted(missing)}")
+    return obj
+
+
+def _int(value, name: str) -> int:
+    """A payload's integer field: JSON true and false are not integers, and
+    the value must lie in the 64-bit range."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"field '{name}' must be an integer, got {value!r}")
+    return checked_int(value, f"field '{name}'")
+
+
+def _divisor(obj, config: SurfaceConfig) -> DivisorClass:
+    obj = _fields(obj, "divisor")
+    if not isinstance(obj["exc"], list):
+        raise ValueError("divisor field 'exc' must be a list of integers")
+    return DivisorClass(_int(obj["a"], "a"), _int(obj["b"], "b"),
+                        tuple(_int(c, "exc entry") for c in obj["exc"]), config)
+
+
+def _datum(obj, config: SurfaceConfig) -> ExtensionDatum:
+    """Checked in the order keys, q a list, c1, c2, d, r, q entries, then the datum's own checks."""
+    obj = _fields(obj, "datum")
+    if not isinstance(obj["q"], list):
+        raise ValueError("field 'q' must be a list of integers")
+    chern = ChernData(_divisor(obj["c1"], config), _int(obj["c2"], "c2"))
+    return ExtensionDatum(_int(obj["d"], "d"), _int(obj["r"], "r"),
+                          tuple(_int(qi, "q entry") for qi in obj["q"]), chern)
 
 
 def _parse(kind: str, text, flag: str, config: SurfaceConfig | None):
@@ -86,8 +128,10 @@ def _parse(kind: str, text, flag: str, config: SurfaceConfig | None):
                 raise UsageError(f"{flag} must be a JSON array of integers")
             return tuple(checked_int(x, "entry") for x in value)
         if kind == "config":
-            return SurfaceConfig.from_json(value)
-        return (DivisorClass if kind == "divisor" else ExtensionDatum).from_json(value, config)
+            value = _fields(value, "config")
+            return SurfaceConfig(_int(value["genus"], "genus"), _int(value["e"], "e"),
+                                 _int(value["points"], "points"))
+        return (_divisor if kind == "divisor" else _datum)(value, config)
     except (ValueError, IntegerOverflowError) as exc:
         raise UsageError(f"{flag}: {exc}") from exc
 

@@ -30,7 +30,7 @@ from .lattice import (
     effectivity,
     euler_char,
     h0_hirzebruch,
-    intersect,
+    pairing,
 )
 
 
@@ -88,7 +88,7 @@ def moduli_dim(config: SurfaceConfig, chern: ChernData) -> int:
     On these surfaces chi(O_X) = 1 - g and the irregularity is g.
     """
     g = config.genus
-    value = 4 * chern.c2 - intersect(chern.c1, chern.c1) - 3 * (1 - g) + g
+    value = 4 * chern.c2 - pairing(chern.c1, chern.c1) - 3 * (1 - g) + g
     return checked_int(value, "moduli dimension")
 
 

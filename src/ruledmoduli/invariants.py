@@ -22,15 +22,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .errors import NegativeLengthWarning, ParityError, checked_int
-from .lattice import (
-    DivisorClass,
-    SurfaceConfig,
-    _require_int,
-    _require_keys,
-    _require_same_config,
-    intersect,
-)
+from .errors import ConfigMismatchError, NegativeLengthWarning, ParityError, checked_int
+from .lattice import DivisorClass, SurfaceConfig, pairing
 
 
 def ceil_div(num: int, den: int) -> int:
@@ -57,15 +50,7 @@ class ChernData:
 
     @property
     def discriminant(self) -> int:
-        return checked_int(4 * self.c2 - intersect(self.c1, self.c1), "discriminant")
-
-    def to_json(self) -> dict:
-        return {"c1": self.c1.to_json(), "c2": self.c2}
-
-    @classmethod
-    def from_json(cls, obj: dict, config: SurfaceConfig) -> "ChernData":
-        _require_keys(obj, {"c1", "c2"}, "Chern data")
-        return cls(DivisorClass.from_json(obj["c1"], config), _require_int(obj["c2"], "c2"))
+        return checked_int(4 * self.c2 - pairing(self.c1, self.c1), "discriminant")
 
 
 @dataclass(frozen=True)
@@ -101,28 +86,6 @@ class ExtensionDatum:
     def config(self) -> SurfaceConfig:
         return self.chern.config
 
-    def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "r": self.r,
-            "q": list(self.q),
-            "c1": self.chern.c1.to_json(),
-            "c2": self.chern.c2,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict, config: SurfaceConfig) -> "ExtensionDatum":
-        _require_keys(obj, {"d", "r", "q", "c1", "c2"}, "extension datum")
-        if not isinstance(obj["q"], list):
-            raise ValueError("field 'q' must be a list of integers")
-        chern = ChernData.from_json({"c1": obj["c1"], "c2": obj["c2"]}, config)
-        return cls(
-            _require_int(obj["d"], "d"),
-            _require_int(obj["r"], "r"),
-            tuple(_require_int(qi, "q entry") for qi in obj["q"]),
-            chern,
-        )
-
 
 def zeta_class(datum: ExtensionDatum) -> DivisorClass:
     """Difference of the sub and quotient line-bundle classes of the extension."""
@@ -140,12 +103,15 @@ def subscheme_length_from_zeta(chern: ChernData, zeta: DivisorClass) -> int:
     inspect infeasible classes and say why they are excluded.
     """
     c1 = chern.c1
-    _require_same_config(zeta, c1)
+    if zeta.config != c1.config:
+        raise ConfigMismatchError(
+            f"classes live on different surfaces: {zeta.config} vs {c1.config}"
+        )
     if any((z - c) % 2 for z, c in zip((zeta.a, zeta.b, *zeta.exc), (c1.a, c1.b, *c1.exc))):
         raise ParityError(
             f"zeta = {zeta} is not congruent to c1 = {c1} mod 2"
         )
-    numerator = intersect(zeta, zeta) - intersect(c1, c1)
+    numerator = pairing(zeta, zeta) - pairing(c1, c1)
     assert numerator % 4 == 0, "parity congruence guarantees divisibility by 4"
     length = chern.c2 + numerator // 4
     if length < 0:
@@ -204,9 +170,7 @@ def chern_twist(chern: ChernData, t: DivisorClass) -> ChernData:
     # each partial sum lies coordinatewise between c1 and c1 + 2T, so only an
     # out-of-range result raises; ConfigMismatchError on foreign T
     c1 = chern.c1 + t + t
-    c2 = checked_int(
-        chern.c2 + intersect(chern.c1, t) + intersect(t, t), "twisted c2"
-    )
+    c2 = checked_int(chern.c2 + pairing(chern.c1, t) + pairing(t, t), "twisted c2")
     return ChernData(c1, c2)
 
 

@@ -75,18 +75,6 @@ class SurfaceConfig:
         """Strict transform F - E_i of the fibre through the i-th point."""
         return self.fiber() - self.exceptional(i)
 
-    def to_json(self) -> dict:
-        return {"genus": self.genus, "e": self.invariant_e, "points": self.num_points}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SurfaceConfig":
-        _require_keys(obj, {"genus", "e", "points"}, "surface config")
-        return cls(
-            genus=_require_int(obj["genus"], "genus"),
-            invariant_e=_require_int(obj["e"], "e"),
-            num_points=_require_int(obj["points"], "points"),
-        )
-
 
 @dataclass(frozen=True)
 class DivisorClass:
@@ -167,19 +155,6 @@ class DivisorClass:
     def to_json(self) -> dict:
         return {"a": self.a, "b": self.b, "exc": list(self.exc)}
 
-    @classmethod
-    def from_json(cls, obj: dict, config: SurfaceConfig) -> "DivisorClass":
-        _require_keys(obj, {"a", "b", "exc"}, "divisor class")
-        exc = obj["exc"]
-        if not isinstance(exc, list):
-            raise ValueError("divisor field 'exc' must be a list of integers")
-        return cls(
-            _require_int(obj["a"], "a"),
-            _require_int(obj["b"], "b"),
-            tuple(_require_int(c, "exc entry") for c in exc),
-            config,
-        )
-
 
 class EffectivityVerdict(Enum):
     EFFECTIVE = "effective"
@@ -221,30 +196,21 @@ def _require_same_config(d1: DivisorClass, d2: DivisorClass) -> None:
         )
 
 
-def _require_keys(obj: dict, keys: set[str], what: str) -> None:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be a JSON object")
-    extra = set(obj) - keys
-    missing = keys - set(obj)
-    if extra:
-        raise ValueError(f"{what} has unknown fields: {sorted(extra)}")
-    if missing:
-        raise ValueError(f"{what} is missing fields: {sorted(missing)}")
+def pairing(d1: DivisorClass, d2: DivisorClass) -> int:
+    """Symmetric bilinear intersection pairing, exact and not range-checked.
 
-
-def _require_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"field '{name}' must be an integer, got {value!r}")
-    return checked_int(value, f"field '{name}'")
+    For the terms of a formula that range-checks its own result; the package
+    does not export it.
+    """
+    _require_same_config(d1, d2)
+    e = d1.config.invariant_e
+    total = -e * d1.a * d2.a + d1.a * d2.b + d2.a * d1.b
+    return total - sum(x * y for x, y in zip(d1.exc, d2.exc))
 
 
 def intersect(d1: DivisorClass, d2: DivisorClass) -> int:
     """Symmetric bilinear intersection pairing of two divisor classes."""
-    _require_same_config(d1, d2)
-    e = d1.config.invariant_e
-    total = -e * d1.a * d2.a + d1.a * d2.b + d2.a * d1.b
-    total -= sum(x * y for x, y in zip(d1.exc, d2.exc))
-    return checked_int(total, "intersection number")
+    return checked_int(pairing(d1, d2), "intersection number")
 
 
 def canonical_class(config: SurfaceConfig) -> DivisorClass:
@@ -269,10 +235,10 @@ def euler_char(config: SurfaceConfig, d: DivisorClass) -> int:
     """
     if d.config != config:
         raise ConfigMismatchError("divisor does not live on the given surface")
-    pairing = intersect(d, d - canonical_class(config))
-    if pairing % 2 != 0:
-        raise ParityError(f"D.(D-K) = {pairing} is odd; lattice data is corrupt")
-    return checked_int((1 - config.genus) + pairing // 2, "Euler characteristic")
+    d_dk = pairing(d, d) - pairing(d, canonical_class(config))  # on ints: D - K may leave the range
+    if d_dk % 2 != 0:
+        raise ParityError(f"D.(D-K) = {d_dk} is odd; lattice data is corrupt")
+    return checked_int((1 - config.genus) + d_dk // 2, "Euler characteristic")
 
 
 def effectivity(d: DivisorClass) -> Effectivity:

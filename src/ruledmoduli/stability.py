@@ -25,7 +25,7 @@ from .lattice import (
     SurfaceConfig,
     _h0_hirzebruch,
     effectivity,
-    intersect,
+    pairing,
 )
 from .walls import Polarization
 
@@ -112,9 +112,7 @@ def slope_margin(a: DivisorClass, c1: DivisorClass, l_cls: DivisorClass) -> int:
     Strictly positive means not even semistable.  Doubling keeps everything
     in integers.
     """
-    return checked_int(
-        2 * intersect(a, l_cls) - intersect(c1, l_cls), "slope margin"
-    )
+    return checked_int(2 * pairing(a, l_cls) - pairing(c1, l_cls), "slope margin")
 
 
 def destabilizer_search(
@@ -159,7 +157,8 @@ def destabilizer_search(
     if polarization.config != config:
         raise ConfigMismatchError("polarization does not live on the given surface")
     checks = polarization.checks
-    c1_l = intersect(sub + quot, polarization.cls)
+    # c1.L is a term of every margin; only the margins are range-checked
+    c1_l = pairing(sub, polarization.cls) + pairing(quot, polarization.cls)
     c0_l, f_l = checks["L.C0"], checks["L.F"]
     exc_l = [checks[f"L.E{i}"] for i in range(1, m + 1)]
 

@@ -47,7 +47,7 @@ from .errors import (
     checked_int,
 )
 from .invariants import ChernData, normalize_chern
-from .lattice import DivisorClass, SurfaceConfig, intersect
+from .lattice import DivisorClass, SurfaceConfig, intersect, pairing
 
 
 @dataclass(frozen=True)
@@ -356,9 +356,6 @@ def hodge_xi(L: DivisorClass, zeta: DivisorClass) -> tuple[DivisorClass, int]:
     whenever L^2 > 0, with equality only for xi = 0; expanding,
     xi^2 = (L.F)^2 * zeta^2 - 2 (L.F)(zeta.L)(zeta.F).
     """
-    config = L.config
-    fiber = config.fiber()
-    lf = intersect(L, fiber)
-    lz = intersect(L, zeta)
-    xi = lf * zeta - lz * fiber
+    lf, lz = L.a, pairing(L, zeta)  # L.F = L.a; xi is the only class built
+    xi = DivisorClass(lf * zeta.a, lf * zeta.b - lz, tuple(lf * c for c in zeta.exc), L.config)
     return xi, intersect(xi, xi)

@@ -1,8 +1,10 @@
 import argparse
 import json
 
+import pytest
 
-from ruledmoduli.cli import build_parser, run
+from ruledmoduli import ChernData, ExtensionDatum, SurfaceConfig
+from ruledmoduli.cli import COMMANDS, _parse, _schema, build_parser, run
 
 CONFIG_00 = '{"genus":0,"e":0,"points":0}'
 CONFIG_G2 = '{"genus":2,"e":1,"points":0}'
@@ -368,3 +370,51 @@ class TestErrorPaths:
         doc = json.loads(out)
         assert doc["result"]["length"] == 2 + 3 * (1 - 3)
         assert any("negative" in w for w in doc["warnings"])
+
+
+# the payload doc of each JSON object flag, as --schema prints it
+SCHEMA_DOCS = {flag: doc["payload"] for name in ("rr", "invariants")
+               for flag, doc in _schema(COMMANDS[name])["flags"].items()}
+SCHEMA_KEYS = [(flag, key) for flag, doc in SCHEMA_DOCS.items() for key in doc]
+SCHEMA_KEYS += [("--datum", f"c1.{key}") for key in SCHEMA_DOCS["--datum"]["c1"]]
+# one valid payload per JSON object flag, on a surface with one blown-up point
+VALID = {
+    "--config": {"genus": 0, "e": 1, "points": 1},
+    "--divisor": {"a": 0, "b": 1, "exc": [0]},
+    "--datum": {"d": 0, "r": 0, "q": [0], "c1": {"a": 0, "b": 0, "exc": [0]}, "c2": 1},
+}
+
+
+def payload_argv(flag, payload):
+    argv = {"--config": ["rr", "--divisor", json.dumps(VALID["--divisor"])],
+            "--divisor": ["rr", "--config", json.dumps(VALID["--config"])],
+            "--datum": ["invariants", "--config", json.dumps(VALID["--config"])]}[flag]
+    return argv + [flag, json.dumps(payload)]
+
+
+def edited(flag, key, edit):
+    """A copy of VALID[flag] with edit(obj, name) applied to the object that
+    holds key; a "c1.<name>" key lives in the datum's c1."""
+    payload = json.loads(json.dumps(VALID[flag]))
+    edit(payload["c1"] if key.startswith("c1.") else payload, key.removeprefix("c1."))
+    return payload
+
+
+class TestPayloadParsing:
+    def test_payloads_build_the_library_objects(self):
+        cfg = _parse("config", '{"genus":1,"e":-1,"points":2}', "--config", None)
+        assert cfg == SurfaceConfig(1, -1, 2)
+        assert _parse("divisor", '{"a":3,"b":-4,"exc":[5,-6]}', "--divisor", cfg) == cfg.divisor(3, -4, (5, -6))
+        datum = _parse("datum", '{"d":0,"r":-3,"q":[0,2],"c1":{"a":0,"b":1,"exc":[1,1]},"c2":9}', "--datum", cfg)
+        assert datum == ExtensionDatum(0, -3, (0, 2), ChernData(cfg.divisor(0, 1, (1, 1)), 9))
+
+    @pytest.mark.parametrize("flag,key", SCHEMA_KEYS, ids=[f"{f}-{k}" for f, k in SCHEMA_KEYS])
+    def test_parser_accepts_exactly_the_schema_keys(self, capsys, flag, key):
+        """Each key --schema documents is required, and no other key is accepted."""
+        name = key.removeprefix("c1.")
+        code, out, err = invoke(capsys, payload_argv(flag, edited(flag, key, lambda obj, k: obj.pop(k))))
+        assert code == 2 and out == ""
+        assert err.startswith(f"usage error: {flag}: ") and f"is missing fields: [{name!r}]\n" in err
+        code, out, err = invoke(capsys, payload_argv(flag, edited(flag, key, lambda obj, k: obj.update(zz=0))))
+        assert code == 2 and out == ""
+        assert err.startswith(f"usage error: {flag}: ") and "has unknown fields: ['zz']\n" in err

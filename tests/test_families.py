@@ -44,6 +44,16 @@ class TestModuliDim:
         cfg = SurfaceConfig(0, 0, 0)
         assert moduli_dim(cfg, ChernData(cfg.zero(), 0)) == -3
 
+    def test_only_the_dimension_is_range_checked(self):
+        cfg = SurfaceConfig(0, 0, 0)
+        # c1^2 = 2^63 = 4*c2
+        assert moduli_dim(cfg, ChernData(cfg.divisor(2, 2**61), 2**61)) == -3
+        # c1^2 = 6*(2^61 + 1): 4*c2 - c1^2 - 3 is 2^63 - 1, then 2^63 + 3
+        c1 = cfg.divisor(3, 2**61 + 1)
+        assert moduli_dim(cfg, ChernData(c1, 5 * 2**60 + 2)) == 2**63 - 1
+        with pytest.raises(IntegerOverflowError, match="moduli dimension 9223372036854775811"):
+            moduli_dim(cfg, ChernData(c1, 5 * 2**60 + 3))
+
 
 class TestExt1:
     def test_worked_fiber_family(self):

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import pytest
@@ -5,9 +6,11 @@ from hypothesis import assume, given
 import hypothesis.strategies as st
 
 from conftest import config_with_divisors
+from ruledmoduli.cli import _parse
 from ruledmoduli import (
     ChernData,
     ExtensionDatum,
+    IntegerOverflowError,
     NegativeLengthWarning,
     ParityError,
     SurfaceConfig,
@@ -115,6 +118,16 @@ class TestSubschemeLength:
         assert zeta_class(datum) == cfg.divisor(a=2**63 - 2)
         assert subscheme_length(datum) == 5
 
+    def test_only_the_length_is_range_checked(self):
+        # zeta = 2C0 + 2^61 F has zeta^2 = 2^63 on F_0; the length is c2 + 2^61
+        cfg = SurfaceConfig(0, 0, 0)
+        for c2, length in [(0, 2**61), (2**63 - 1 - 2**61, 2**63 - 1)]:
+            datum = ExtensionDatum(d=1, r=2**60, q=(), chern=ChernData(cfg.zero(), c2))
+            assert subscheme_length(datum) == length
+        datum = ExtensionDatum(d=1, r=2**60, q=(), chern=ChernData(cfg.zero(), 2**63 - 2**61))
+        with pytest.raises(IntegerOverflowError, match="subscheme length 9223372036854775808"):
+            subscheme_length(datum)
+
     @given(st.integers(0, 3), st.integers(0, 1), st.integers(-6, 20),
            st.integers(-10, 10), st.lists(st.integers(0, 5), max_size=4))
     def test_specialization_identity(self, genus, eta, c2, r1, ells):
@@ -176,6 +189,25 @@ class TestChernTwist:
         assert twisted.c2 == 2
         assert chern.discriminant == twisted.discriminant == 17
 
+    def test_only_the_twisted_c2_is_range_checked(self):
+        # c1.T = 2^63 on F_0 for c1 = 2^62 F and T = 2C0
+        cfg = SurfaceConfig(0, 0, 0)
+        t = cfg.divisor(2)
+        twisted = chern_twist(ChernData(cfg.divisor(b=2**62), -1), t)
+        assert twisted == ChernData(cfg.divisor(4, 2**62), 2**63 - 1)
+        assert twisted.discriminant == -4
+        with pytest.raises(IntegerOverflowError, match="twisted c2 9223372036854775808"):
+            chern_twist(ChernData(cfg.divisor(b=2**62), 0), t)
+
+    def test_only_the_discriminant_is_range_checked(self):
+        # c1^2 = 2^63 on F_0 for c1 = 2C0 + 2^61 F
+        cfg = SurfaceConfig(0, 0, 0)
+        c1 = cfg.divisor(2, 2**61)
+        assert ChernData(c1, 2**61).discriminant == 0
+        assert ChernData(c1, 0).discriminant == -(2**63)
+        with pytest.raises(IntegerOverflowError, match="discriminant -9223372036854775812"):
+            ChernData(c1, -1).discriminant
+
     @given(config_with_divisors(count=2, lo=-5, hi=5), st.integers(-10, 30))
     def test_discriminant_invariance(self, data, c2):
         _, c1, t = data
@@ -222,10 +254,11 @@ class TestDatumValidation:
             ExtensionDatum(d=0, r=0, q=(), chern=ChernData(cfg.divisor(a=1), 1))
 
     def test_round_trip(self):
+        # the CLI parser is the only JSON reader; a datum's fields read back whole
         datum = even_fiber_datum(1, 2, 1, 2, 9, r1=-3, ells=(0, 2))
-        assert ExtensionDatum.from_json(datum.to_json(), datum.config) == datum
-        chern = datum.chern
-        assert ChernData.from_json(chern.to_json(), datum.config) == chern
+        text = json.dumps({"d": datum.d, "r": datum.r, "q": list(datum.q),
+                           "c1": datum.chern.c1.to_json(), "c2": datum.chern.c2})
+        assert _parse("datum", text, "--datum", datum.config) == datum
 
 
 class TestDatumTwistInvariance:

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import example, given
 import hypothesis.strategies as st
@@ -10,6 +12,7 @@ from conftest import (
     rebuild_from_decomposition,
 )
 from ruledmoduli.errors import INT64_MAX, INT64_MIN
+from ruledmoduli.cli import _parse
 from ruledmoduli import (
     ConfigMismatchError,
     DivisorClass,
@@ -184,6 +187,17 @@ class TestEulerChar:
         closed_form = 1 - 1 + 2 * r1 - eta - sum((1 - 2 * li) * (1 - li) for li in ells)
         assert euler_char(cfg, d) == closed_form == -7
 
+    def test_only_chi_is_range_checked(self):
+        # D - K = C0 + (2^63 + 2)F is out of range, but D.(D - K) = -2 and chi = 0
+        cfg = SurfaceConfig(0, 1, 0)
+        d = cfg.divisor(-1, INT64_MAX)
+        assert euler_char(cfg, d) == 0
+        # chi(C0 + bF) = 2b + 1 on F_1: the top of the range at b = 2^62 - 1,
+        # where D.(D - K) = 2^64 - 4 is not; one past it raises
+        assert euler_char(cfg, cfg.divisor(1, 2**62 - 1)) == INT64_MAX
+        with pytest.raises(IntegerOverflowError, match="Euler characteristic 9223372036854775809"):
+            euler_char(cfg, cfg.divisor(1, 2**62))
+
     @given(config_with_divisors())
     def test_riemann_roch_parity(self, data):
         cfg, d = data
@@ -326,15 +340,10 @@ class TestValidationAndJson:
             SurfaceConfig(0, 0, 0).fiber() * 1.5
 
     def test_round_trips(self):
+        # the CLI parser is the only JSON reader; what a class writes it reads back
         cfg = SurfaceConfig(1, -1, 2)
-        assert SurfaceConfig.from_json(cfg.to_json()) == cfg
+        text = json.dumps({"genus": cfg.genus, "e": cfg.invariant_e, "points": cfg.num_points})
+        assert _parse("config", text, "--config", None) == cfg
         d = cfg.divisor(3, -4, (5, -6))
-        assert DivisorClass.from_json(d.to_json(), cfg) == d
+        assert _parse("divisor", json.dumps(d.to_json()), "--divisor", cfg) == d
 
-    def test_strict_parsing(self):
-        with pytest.raises(ValueError):
-            SurfaceConfig.from_json({"genus": 0, "e": 0, "points": 0, "extra": 1})
-        with pytest.raises(ValueError):
-            SurfaceConfig.from_json({"genus": 0, "e": 0})
-        with pytest.raises(ValueError):
-            DivisorClass.from_json({"a": 0, "b": "x", "exc": []}, SurfaceConfig(0, 0, 0))

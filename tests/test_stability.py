@@ -50,6 +50,15 @@ class TestSlopeMargin:
         t = cfg.divisor(-1, 4, (2, 0))
         assert slope_margin(a + t, c1 + 2 * t, l_cls) == slope_margin(a, c1, l_cls)
 
+    def test_only_the_margin_is_range_checked(self):
+        # A.L = 2^63 for A = 2C0 and L = C0 + 2^62 F on F_0
+        cfg = SurfaceConfig(0, 0, 0)
+        a, l_cls = cfg.divisor(2), cfg.divisor(1, 2**62)
+        assert slope_margin(a, cfg.divisor(4, 1), l_cls) == -1
+        assert slope_margin(a, cfg.divisor(4, -(2**63) + 1), l_cls) == 2**63 - 1
+        with pytest.raises(IntegerOverflowError, match="slope margin 9223372036854775808"):
+            slope_margin(a, cfg.divisor(4, -(2**63)), l_cls)
+
 
 class TestWorkedFamilyCertification:
     def test_large_polarization_case(self):
@@ -241,6 +250,19 @@ class TestSearchMechanics:
             slope_margin(cfg.minimal_section(), sub + quot, l_cls)
         with pytest.raises(IntegerOverflowError):
             destabilizer_search(cfg, sub, quot, 0, Polarization(l_cls), SearchBox(1, 1, 0))
+
+    def test_only_the_margins_are_range_checked(self):
+        # c1.L = 2^63 for c1 = sub + quot = 4C0 and L = C0 + 2^61 F on F_0,
+        # while every recorded margin is in range
+        cfg = SurfaceConfig(0, 0, 0)
+        pol = Polarization(cfg.divisor(1, 2**61))
+        verdict = destabilizer_search(cfg, cfg.divisor(3), cfg.divisor(1), 0, pol, SearchBox(3, 2, 0))
+        assert [(c.divisor, c.branch, c.margin_times_two) for c in verdict.candidates] == [
+            (cfg.divisor(2, 0), 1, 0),
+            (cfg.divisor(3, -2), 1, 2**62 - 4),
+            (cfg.divisor(3, -1), 1, 2**62 - 2),
+            (cfg.divisor(3, 0), 1, 2**62),
+        ]
 
     def test_enlarging_the_box_never_flips_found_to_certified(self):
         cfg = SurfaceConfig(0, 0, 0)

@@ -317,6 +317,14 @@ class TestHodgeXi:
         xi, xi_sq = hodge_xi(cfg.divisor(3, 1), cfg.fiber())
         assert xi == cfg.zero() and xi_sq == 0
 
+    def test_only_xi_is_range_checked(self):
+        # (L.F)*zeta = -2C0 + 2^63 F is out of range, xi = -2C0 + F is not
+        cfg = SurfaceConfig(0, 0, 0)
+        xi, xi_sq = hodge_xi(cfg.divisor(2, 1), cfg.divisor(-1, 2**62))
+        assert xi == cfg.divisor(-2, 1) and xi_sq == -4
+        with pytest.raises(IntegerOverflowError, match="C0 coefficient 9223372036854775808"):
+            hodge_xi(cfg.divisor(2, 1), cfg.divisor(2**62))
+
     @given(config_with_divisors(count=2, lo=-6, hi=6))
     def test_expansion_identity_and_orthogonality(self, data):
         cfg, l_cls, zeta = data
