@@ -76,7 +76,7 @@ class SurfaceConfig:
         return self.fiber() - self.exceptional(i)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DivisorClass:
     """Integer vector (a, b, c_1..c_m) in the basis {C0, F, E1..Em}."""
 
@@ -100,12 +100,16 @@ class DivisorClass:
     @classmethod
     def _unchecked(cls, a: int, b: int, exc: tuple[int, ...], config: SurfaceConfig) -> "DivisorClass":
         """Build a class without validation, for engines that have already
-        range-checked the coordinates and hold ``exc`` as a tuple of length m."""
+        range-checked the coordinates and hold ``exc`` as a tuple of length m.
+
+        The slots are filled through their member descriptors, which skips
+        the frozen ``__setattr__`` and the ``__init__`` call.
+        """
         self = object.__new__(cls)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "exc", exc)
-        object.__setattr__(self, "config", config)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_exc(self, exc)
+        _set_config(self, config)
         return self
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
@@ -154,6 +158,14 @@ class DivisorClass:
 
     def to_json(self) -> dict:
         return {"a": self.a, "b": self.b, "exc": list(self.exc)}
+
+
+_set_a, _set_b, _set_exc, _set_config = (
+    DivisorClass.a.__set__,
+    DivisorClass.b.__set__,
+    DivisorClass.exc.__set__,
+    DivisorClass.config.__set__,
+)
 
 
 class EffectivityVerdict(Enum):
@@ -229,13 +241,16 @@ def canonical_class(config: SurfaceConfig) -> DivisorClass:
 def euler_char(config: SurfaceConfig, d: DivisorClass) -> int:
     """Euler characteristic chi(O_X(D)) by Riemann-Roch.
 
-    chi(D) = chi(O_X) + D.(D - K)/2 with chi(O_X) = 1 - g.  The pairing
-    D.(D - K) is even on any smooth surface; a parity failure therefore means
-    the lattice data is corrupt and raises ParityError.
+    chi(D) = chi(O_X) + D.(D - K)/2 with chi(O_X) = 1 - g.  D.K has the
+    closed form a(2g - 2 + e) - 2b - sum(ci), read off ``canonical_class``
+    on ints, since K itself may leave the range when D.(D - K) does not.
+    The pairing D.(D - K) is even on any smooth surface; a parity failure
+    therefore means the lattice data is corrupt and raises ParityError.
     """
     if d.config != config:
         raise ConfigMismatchError("divisor does not live on the given surface")
-    d_dk = pairing(d, d) - pairing(d, canonical_class(config))  # on ints: D - K may leave the range
+    d_k = d.a * (2 * config.genus - 2 + config.invariant_e) - 2 * d.b - sum(d.exc)
+    d_dk = pairing(d, d) - d_k
     if d_dk % 2 != 0:
         raise ParityError(f"D.(D-K) = {d_dk} is odd; lattice data is corrupt")
     return checked_int((1 - config.genus) + d_dk // 2, "Euler characteristic")

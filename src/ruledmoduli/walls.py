@@ -19,11 +19,14 @@ bounds are rederived in the test suite against a brute-force scan.
 
 One private kernel, ``_slices``, walks the (a, c) slices of that region on
 plain integers and holds the only copy of these bounds.  ``wall_search``
-walks each slice's run of b and builds one class per result, so it costs
-one pass over the slices plus one step per emitted class.  ``is_suitable``
-and ``certify_dv_zero`` never walk a run: the first b of a slice decides
-whether the slice holds a separating wall, and its boundary class (zeta.L
-= 0) has a closed form, so a decision costs one pass over the slices.  On
+walks each slice's run of b and builds one wall per result, so it costs
+one pass over the slices plus one step per emitted class.  Each wall is
+two slotted objects, a ``WallClass`` and its ``zeta``, sharing its slice's
+exc tuple, and the walls are emitted in (a, b, exc) order without a sort.
+``is_suitable`` and ``certify_dv_zero`` never walk a run: the first b of a
+slice decides whether the slice holds a separating wall, and its boundary
+class (zeta.L = 0) has a closed form, so a decision costs one pass over the
+slices.  On
 g=0, e=1, m=3, L=3C0+7F-sum Ei, c1=F+sum Ei, c2=80 that is 7,211 non-empty
 slices against 69,485 emitted classes.  The decision witness is the first
 separating wall in (a, b, exc) order, which is ``wall_search(...).walls[0]``,
@@ -34,6 +37,7 @@ c the kernel visits (8,144 there) and, in ``wall_search``, every b it walks
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from math import isqrt
 
@@ -85,7 +89,7 @@ class Polarization:
         return self.cls.config
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WallClass:
     """A wall zeta with its square, induced length, and signs against F and L."""
 
@@ -95,8 +99,17 @@ class WallClass:
     zF: int
     zL: int
 
-    def sort_key(self):
-        return (self.zeta.a, self.zeta.b, self.zeta.exc)
+    @classmethod
+    def _unchecked(cls, zeta: DivisorClass, zeta_sq: int, ell: int, zF: int, zL: int) -> "WallClass":
+        """Build a wall by filling its slots through their member descriptors,
+        for the engines, which compute every field themselves."""
+        self = object.__new__(cls)
+        _set_zeta(self, zeta)
+        _set_zeta_sq(self, zeta_sq)
+        _set_ell(self, ell)
+        _set_zF(self, zF)
+        _set_zL(self, zL)
+        return self
 
     def to_json(self) -> dict:
         return {
@@ -106,6 +119,15 @@ class WallClass:
             "zF": self.zF,
             "zL": self.zL,
         }
+
+
+_set_zeta, _set_zeta_sq, _set_ell, _set_zF, _set_zL = (
+    WallClass.zeta.__set__,
+    WallClass.zeta_sq.__set__,
+    WallClass.ell.__set__,
+    WallClass.zF.__set__,
+    WallClass.zL.__set__,
+)
 
 
 @dataclass(frozen=True)
@@ -243,30 +265,51 @@ def wall_search(
 ) -> WallSearch:
     """Enumerate every wall zeta with zeta.F > 0 and zeta.L <= 0.
 
-    Deterministic: results are sorted lexicographically on (a, b, exc).
-    The cost is one pass over the slices plus one step per emitted class.
-    Raises SearchBoundsError with the offending budget when the visited exc
-    prefixes plus the walked b candidates exceed ``max_candidates``, so
-    callers can fall back to the brute-force oracle.
+    Deterministic: results are emitted in (a, b, exc) order.  The slices of
+    one a come in exc order, so their walls are collected in one bucket per
+    b and the buckets are emptied in increasing b when a changes.  The cost
+    is one pass over the slices plus one step per emitted class, and each
+    class is two slotted objects, its ``WallClass`` and its ``zeta``, around
+    the exc tuple of its slice.  Raises SearchBoundsError with the
+    offending budget when the visited exc prefixes plus the walked b
+    candidates exceed ``max_candidates``, so callers can fall back to the
+    brute-force oracle.
     """
     p = polarization.cls.a
-    new_class = DivisorClass._unchecked
+    new_class, new_wall = DivisorClass._unchecked, WallClass._unchecked
     walls: list[WallClass] = []
     boundary: list[WallClass] = []
+    walls_at: defaultdict[int, list[WallClass]] = defaultdict(list)  # b -> walls of this a
+    boundary_at: defaultdict[int, list[WallClass]] = defaultdict(list)
+    current = None
     for a, exc, b, b_last, z_sq, ell, z_l in _slices(
         config, chern, polarization, max_candidates, walk_runs=True
     ):
+        if a != current:
+            _drain(walls_at, walls)
+            _drain(boundary_at, boundary)
+            current = a
         while b <= b_last:
-            wall = WallClass(new_class(a, b, exc, config), z_sq, ell, a, z_l)
-            (boundary if z_l == 0 else walls).append(wall)
+            wall = new_wall(new_class(a, b, exc, config), z_sq, ell, a, z_l)
+            (walls_at if z_l else boundary_at)[b].append(wall)
             b += 2
             z_sq += 4 * a
             ell += a
             z_l += 2 * p
-
-    walls.sort(key=WallClass.sort_key)
-    boundary.sort(key=WallClass.sort_key)
+    _drain(walls_at, walls)
+    _drain(boundary_at, boundary)
     return WallSearch(tuple(walls), tuple(boundary))
+
+
+def _drain(buckets: dict[int, list[WallClass]], out: list[WallClass]) -> None:
+    """Append one a's walls to ``out`` in (b, exc) order and empty the buckets.
+
+    Each bucket holds the walls of one b in the order their slices came,
+    which is exc order.
+    """
+    for b in sorted(buckets):
+        out += buckets[b]
+    buckets.clear()
 
 
 def _decide(config, chern, polarization, max_candidates):
@@ -276,28 +319,34 @@ def _decide(config, chern, polarization, max_candidates):
     the slice's boundary class is the b0 of the run with zeta.L = 0, if any.
     The witness is the lexicographically smallest separating wall on
     (a, b, exc), which is ``wall_search(...).walls[0]``, or else the first
-    boundary class; ``boundary`` is complete and sorted like the
-    enumeration's.  The budget counts the visited exc prefixes only.
+    boundary class; ``boundary`` is complete and in the enumeration's
+    order, collected in per-b buckets like it.  The budget counts the
+    visited exc prefixes only.
     """
     p = polarization.cls.a
-    new_class = DivisorClass._unchecked
+    new_class, new_wall = DivisorClass._unchecked, WallClass._unchecked
     witness = None
     boundary: list[WallClass] = []
+    boundary_at: defaultdict[int, list[WallClass]] = defaultdict(list)
+    current = None
     for a, exc, b, b_last, z_sq, ell, z_l in _slices(
         config, chern, polarization, max_candidates, walk_runs=False
     ):
+        if a != current:
+            _drain(boundary_at, boundary)
+            current = a
         # slices come in increasing a, so only the first a with a wall competes
         if z_l < 0 and (
             witness is None
             or (witness.zF == a and (b, exc) < (witness.zeta.b, witness.zeta.exc))
         ):
-            witness = WallClass(new_class(a, b, exc, config), z_sq, ell, a, z_l)
+            witness = new_wall(new_class(a, b, exc, config), z_sq, ell, a, z_l)
         steps, rest = divmod(-z_l, 2 * p)
         if rest == 0 and b + 2 * steps <= b_last:
-            zeta = new_class(a, b + 2 * steps, exc, config)
-            boundary.append(WallClass(zeta, z_sq + 4 * a * steps, ell + a * steps, a, 0))
-
-    boundary.sort(key=WallClass.sort_key)
+            b += 2 * steps
+            wall = new_wall(new_class(a, b, exc, config), z_sq + 4 * a * steps, ell + a * steps, a, 0)
+            boundary_at[b].append(wall)
+    _drain(boundary_at, boundary)
     if witness is None and boundary:
         witness = boundary[0]
     return witness, tuple(boundary)

@@ -1,4 +1,6 @@
+import itertools
 import json
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import example, given
@@ -13,6 +15,7 @@ from conftest import (
 )
 from ruledmoduli.errors import INT64_MAX, INT64_MIN
 from ruledmoduli.cli import _parse
+from ruledmoduli.lattice import pairing
 from ruledmoduli import (
     ConfigMismatchError,
     DivisorClass,
@@ -198,6 +201,36 @@ class TestEulerChar:
         with pytest.raises(IntegerOverflowError, match="Euler characteristic 9223372036854775809"):
             euler_char(cfg, cfg.divisor(1, 2**62))
 
+    def test_canonical_class_out_of_range(self):
+        # K = -2C0 + (2g - 2 - e)F leaves the range at e = 2^63 - 1 on g = 0,
+        # but D.K = a(2g - 2 + e) - 2b - sum(ci) is computed on ints
+        cfg = SurfaceConfig(0, INT64_MAX, 0)
+        with pytest.raises(IntegerOverflowError, match="F coefficient -9223372036854775809"):
+            canonical_class(cfg)
+        assert euler_char(cfg, cfg.zero()) == 1
+        assert euler_char(cfg, cfg.fiber()) == 2
+        assert euler_char(cfg, cfg.divisor(b=-7)) == -6
+
+    def test_closed_form_matches_the_canonical_class(self):
+        # wherever K is in range, chi = 1 - g + (D.D - D.K)/2 with D.K paired
+        # against canonical_class, on small classes and at the edge of e
+        for genus in range(3):
+            edge = 2 * genus - 2 - INT64_MIN  # the largest e with K in range
+            for e in (*range(0 if genus == 0 else -2, 4), edge - 1, edge):
+                for m in range(3):
+                    cfg = SurfaceConfig(genus, e, m)
+                    k = canonical_class(cfg)
+                    for a in range(-2, 3):
+                        for b in range(-3, 4):
+                            for exc in itertools.product(range(-1, 2), repeat=m):
+                                d = cfg.divisor(a, b, exc)
+                                chi = 1 - genus + (pairing(d, d) - pairing(d, k)) // 2
+                                if INT64_MIN <= chi <= INT64_MAX:
+                                    assert euler_char(cfg, d) == chi
+                                else:
+                                    with pytest.raises(IntegerOverflowError):
+                                        euler_char(cfg, d)
+
     @given(config_with_divisors())
     def test_riemann_roch_parity(self, data):
         cfg, d = data
@@ -330,6 +363,30 @@ class TestValidationAndJson:
         assert SurfaceConfig(2, 0, 3).rank == 5
         with pytest.raises(ValueError, match="exceptional index 0 outside 1..3"):
             SurfaceConfig(2, 0, 3).exceptional(0)
+
+    def test_slotted_frozen_and_unchecked_equal_to_checked(self):
+        cfg = SurfaceConfig(1, -1, 2)
+        checked = cfg.divisor(3, -4, (5, -6))
+        fast = DivisorClass._unchecked(3, -4, (5, -6), cfg)
+        assert fast == checked and hash(fast) == hash(checked)
+        assert {fast: 1}[checked] == 1
+        assert fast != DivisorClass._unchecked(3, -4, (5, -5), cfg)
+        for d in (checked, fast):
+            assert not hasattr(d, "__dict__")
+            with pytest.raises(FrozenInstanceError):
+                d.a = 0
+            # a new attribute has no slot; CPython before 3.12 raises
+            # TypeError from the frozen __setattr__ of a slotted dataclass
+            with pytest.raises((AttributeError, TypeError)):
+                d.note = "classes take no new attributes"
+
+    def test_constructor_range_checks_each_coordinate(self):
+        cfg = SurfaceConfig(0, 0, 1)
+        assert DivisorClass(1, 2, [3], cfg).exc == (3,)
+        for coords, name in [((2**63, 0, (0,)), "C0"), ((0, -(2**63) - 1, (0,)), "F"),
+                             ((0, 0, (2**63,)), "exceptional")]:
+            with pytest.raises(IntegerOverflowError, match=f"{name} coefficient"):
+                DivisorClass(*coords, cfg)
 
     def test_divisor_length_mismatch(self):
         with pytest.raises(ValueError):

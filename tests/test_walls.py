@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import assume, given
@@ -14,12 +15,14 @@ from conftest import (
 from ruledmoduli import (
     ChernData,
     ConfigMismatchError,
+    DivisorClass,
     IntegerOverflowError,
     InvalidPolarizationError,
     NotApplicableError,
     Polarization,
     SearchBoundsError,
     SurfaceConfig,
+    WallClass,
     certify_dv_zero,
     hodge_xi,
     intersect,
@@ -47,6 +50,29 @@ def wall_inputs(draw):
     except InvalidPolarizationError:
         assume(False)
     return cfg, chern, pol
+
+
+def strictly_increasing(walls):
+    keys = [(w.zeta.a, w.zeta.b, w.zeta.exc) for w in walls]
+    return all(x < y for x, y in zip(keys, keys[1:]))
+
+
+def order_inputs(seed=11):
+    """The anchor g=0, e=1, m=3, L=3C0+7F-sum Ei at c2 = 20 and 40, and a
+    seeded draw per surface with g <= 2, e <= 2, m = 2-3 and c2 <= 40."""
+    anchor = SurfaceConfig(0, 1, 3)
+    pol = Polarization(anchor.divisor(3, 7, (-1, -1, -1)))
+    cases = [(anchor, ChernData(anchor.divisor(0, 1, (1, 1, 1)), c2), pol) for c2 in (20, 40)]
+    rng = random.Random(seed)
+    for genus in range(3):
+        for e in range(0 if genus == 0 else -1, 3):
+            for m in (2, 3):
+                cfg = SurfaceConfig(genus, e, m)
+                cases.append((cfg, random_chern(rng, cfg, max_c2=40), random_polarization(rng, cfg)))
+    return cases
+
+
+ORDER_INPUTS = order_inputs()
 
 
 def first_witness(search):
@@ -123,13 +149,19 @@ class TestEnumeration:
             assert xi_sq < 0
 
     def test_deterministic_and_sorted(self, quadric):
+        # the order rests on how the walls are collected, not on a sort, so
+        # check it where one a holds several slices: m = 2-3, several a
         cfg, chern = quadric
-        pol = Polarization(cfg.divisor(3, 1))
-        first = wall_search(cfg, chern, pol).walls
-        second = wall_search(cfg, chern, pol).walls
-        assert first == second
-        keys = [w.sort_key() for w in first]
-        assert keys == sorted(keys)
+        cases = [(cfg, chern, Polarization(cfg.divisor(3, 1))), *ORDER_INPUTS]
+        several_a = 0
+        for cfg, chern, pol in cases:
+            first = wall_search(cfg, chern, pol)
+            assert first == wall_search(cfg, chern, pol)
+            assert strictly_increasing(first.walls)
+            assert strictly_increasing(first.boundary)
+            assert strictly_increasing(is_suitable(cfg, chern, pol).boundary)
+            several_a += len({w.zeta.a for w in first.walls + first.boundary}) > 1
+        assert several_a >= 5
 
     def test_monotone_in_c2(self, quadric):
         cfg, _ = quadric
@@ -220,6 +252,24 @@ class TestEnumeration:
                     (w.zeta.a, w.zeta.b, w.zeta.exc) for w in search.boundary
                 )
                 assert (got, got_boundary) == brute_walls(cfg, chern, pol)
+
+
+class TestWallClass:
+    def test_slotted_frozen_and_equal_to_a_constructed_one(self):
+        cfg = SurfaceConfig(0, 1, 2)
+        zeta = cfg.divisor(2, -1, (1, -1))
+        built = WallClass(zeta, -8, 1, 2, -3)
+        fast = WallClass._unchecked(DivisorClass._unchecked(2, -1, (1, -1), cfg), -8, 1, 2, -3)
+        assert fast == built and hash(fast) == hash(built)
+        assert fast != WallClass(zeta, -8, 1, 2, -1)
+        for wall in (built, fast):
+            assert not hasattr(wall, "__dict__")
+            with pytest.raises(FrozenInstanceError):
+                wall.zL = 0
+            # a new attribute has no slot; CPython before 3.12 raises
+            # TypeError from the frozen __setattr__ of a slotted dataclass
+            with pytest.raises((AttributeError, TypeError)):
+                wall.note = "walls take no new attributes"
 
 
 class TestSuitability:
