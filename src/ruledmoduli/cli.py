@@ -50,7 +50,26 @@ class _Command:
     handler: Callable[..., tuple[dict, list[str]]]
 
 
+# The output format: what --schema prints for a divisor, a wall and a family
+# report, beside the encoders that write them.
 _DIVISOR_DOC = {"a": "int", "b": "int", "exc": "[int] of length points"}
+_WALL_DOC = {"zeta": _DIVISOR_DOC, "zeta_sq": "int", "ell": "int", "zF": "int", "zL": "int"}
+_REPORT_DOC = {
+    "family_dim": "int", "moduli_dim": "int", "ext1": "int",
+    "assumptions": [_DIVISOR_DOC], "dominance": "equal | less | exceeds",
+}
+
+
+def _divisor_doc(divisor: DivisorClass) -> dict:
+    return {"a": divisor.a, "b": divisor.b, "exc": list(divisor.exc)}
+
+
+def _wall_doc(wall: walls.WallClass | None) -> dict | None:
+    if wall is None:
+        return None
+    return {"zeta": _divisor_doc(wall.zeta), "zeta_sq": wall.zeta_sq, "ell": wall.ell, "zF": wall.zF, "zL": wall.zL}
+
+
 # what --schema prints for each payload kind; a JSON object payload must have
 # exactly the keys documented here
 _KIND_DOCS = {
@@ -138,13 +157,13 @@ def _parse(kind: str, text, flag: str, config: SurfaceConfig | None):
 
 def _twist(config, c1, c2, t):
     twisted = invariants.chern_twist(ChernData(c1, c2), t)
-    return {"c1": twisted.c1.to_json(), "c2": twisted.c2, "discriminant": twisted.discriminant}, []
+    return {"c1": _divisor_doc(twisted.c1), "c2": twisted.c2, "discriminant": twisted.discriminant}, []
 
 
 def _invariants(config, datum):
     c1, c2 = datum.chern.c1, datum.chern.c2
     return {
-        "zeta": invariants.zeta_class(datum).to_json(),
+        "zeta": _divisor_doc(invariants.zeta_class(datum)),
         "length": invariants.subscheme_length(datum),
         "discriminant": datum.chern.discriminant,
         "unique": invariants.is_extension_unique(datum),
@@ -162,8 +181,8 @@ def _boundary_notes(boundary) -> list[str]:
 def _walls(config, c1, c2, polarization):
     search = walls.wall_search(config, ChernData(c1, c2), walls.Polarization(polarization))
     return {
-        "walls": [w.to_json() for w in search.walls],
-        "boundary": [w.to_json() for w in search.boundary],
+        "walls": [_wall_doc(w) for w in search.walls],
+        "boundary": [_wall_doc(w) for w in search.boundary],
         "excluded_negative_length": search.excluded_negative_length,
     }, []
 
@@ -172,27 +191,31 @@ def _suitable(config, c1, c2, polarization):
     verdict = walls.is_suitable(config, ChernData(c1, c2), walls.Polarization(polarization))
     return {
         "suitable": verdict.suitable,
-        "witness": None if verdict.witness is None else verdict.witness.to_json(),
-        "boundary": [w.to_json() for w in verdict.boundary],
+        "witness": _wall_doc(verdict.witness),
+        "boundary": [_wall_doc(w) for w in verdict.boundary],
     }, _boundary_notes(verdict.boundary)
 
 
 def _certify_dv0(config, c1, c2, polarization):
     certificate = walls.certify_dv_zero(config, ChernData(c1, c2), walls.Polarization(polarization))
-    witness = certificate.separating_wall
     return {
         "certified": certificate.certified,
         "d": certificate.d_value,
-        "witness": None if witness is None else witness.to_json(),
+        "witness": _wall_doc(certificate.separating_wall),
     }, _boundary_notes(certificate.boundary)
 
 
 def _family_report(report: families.FamilyReport):
+    doc = {
+        "family_dim": report.family_dim,
+        "moduli_dim": report.moduli_dim,
+        "ext1": report.ext1,
+        "assumptions": [_divisor_doc(a.divisor) for a in report.assumptions],
+        "dominance": report.dominance.value,
+    }
     if report.dominance is not families.Dominance.EXCEEDS:
-        return report.to_json(), []
-    return report.to_json(), [
-        "family dimension exceeds the moduli dimension; the input data is inconsistent with a dominating family"
-    ]
+        return doc, []
+    return doc, ["family dimension exceeds the moduli dimension; the input data is inconsistent with a dominating family"]
 
 
 def _c1f0(g, eta, m, n, eps, r1, h0, e, ell):
@@ -214,7 +237,9 @@ def _maximize(g, eta, m, n, eps):
 
 
 def _classify(config, c1, c2):
-    return families.classify_structure(config, ChernData(c1, c2)).to_json(), []
+    shape = families.classify_structure(config, ChernData(c1, c2))
+    return {"kind": shape.kind.value, "rationality": shape.rationality.value,
+            "hilbert_exponent": shape.hilbert_exponent, "description": shape.description}, []
 
 
 def _stability(config, sub, quot, ell, polarization, box_a, box_b, box_exc):
@@ -225,18 +250,25 @@ def _stability(config, sub, quot, ell, polarization, box_a, box_b, box_exc):
         if None in bounds:
             raise UsageError("--box-a, --box-b and --box-exc must be given together")
         box = stability.SearchBox(*bounds)
-    return stability.destabilizer_search(config, sub, quot, ell, pol, box).to_json(), []
+    verdict = stability.destabilizer_search(config, sub, quot, ell, pol, box)
+    candidates = [{
+        "a": _divisor_doc(c.divisor),
+        "branch": c.branch,
+        "effectivity": {"verdict": c.effectivity.verdict.value, "decomposition": c.effectivity.decomposition,
+                        "violated": c.effectivity.violated},
+        "slope_margin": [c.margin_times_two, 2],
+        "pruned": c.pruned,
+    } for c in verdict.candidates]
+    box = verdict.box
+    return {"verdict": verdict.verdict.value, "candidates": candidates,
+            "box": {"a": box.section_bound, "b": box.fiber_bound, "exc": box.exceptional_bound},
+            "notes": list(verdict.notes)}, []
 
 
 # The config comes first in every flag list: divisors and data need it to parse.
 _CHERN_FLAGS = {"--config": "config", "--c1": "divisor", "--c2": "int"}
 _WALL_FLAGS = {**_CHERN_FLAGS, "--polarization": "divisor"}
 _FAMILY_FLAGS = {"--g": "int", "--eta": "int", "--m": "int", "--n": "int", "--eps": "int"}
-_WALL_DOC = {"zeta": _DIVISOR_DOC, "zeta_sq": "int", "ell": "int", "zF": "int", "zL": "int"}
-_REPORT_DOC = {
-    "family_dim": "int", "moduli_dim": "int", "ext1": "int",
-    "assumptions": [_DIVISOR_DOC], "dominance": "equal | less | exceeds",
-}
 
 # One entry per subcommand, and one per variant under "family-dim".  The order
 # is argparse's order of choices in its messages.
@@ -246,7 +278,7 @@ COMMANDS: dict[str, _Command | dict[str, _Command]] = {
     "intersect": _Command({"--config": "config", "--d1": "divisor", "--d2": "divisor"}, {"value": "int"},
                           lambda config, d1, d2: ({"value": intersect(d1, d2)}, [])),
     "canonical": _Command({"--config": "config"}, {"divisor": _DIVISOR_DOC},
-                          lambda config: ({"divisor": canonical_class(config).to_json()}, [])),
+                          lambda config: ({"divisor": _divisor_doc(canonical_class(config))}, [])),
     "twist": _Command({**_CHERN_FLAGS, "--t": "divisor"},
                       {"c1": _DIVISOR_DOC, "c2": "int", "discriminant": "int"}, _twist),
     "invariants": _Command({"--config": "config", "--datum": "datum"},

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import AssumptionViolatedError, checked_int
+from .errors import AssumptionViolatedError, ConfigMismatchError, checked_int
 from .invariants import (
     ChernData,
     ExtensionDatum,
@@ -52,9 +52,6 @@ class VanishingAssumption:
     divisor: DivisorClass
     twisted_by_ideal: bool = False
 
-    def to_json(self) -> dict:
-        return self.divisor.to_json()
-
 
 @dataclass(frozen=True)
 class FamilyReport:
@@ -72,14 +69,10 @@ class FamilyReport:
         # families never exceed the moduli count for consistent input
         return Dominance.EXCEEDS
 
-    def to_json(self) -> dict:
-        return {
-            "family_dim": self.family_dim,
-            "moduli_dim": self.moduli_dim,
-            "ext1": self.ext1,
-            "assumptions": [a.to_json() for a in self.assumptions],
-            "dominance": self.dominance.value,
-        }
+
+def _require_on_surface(config: SurfaceConfig, chern: ChernData) -> None:
+    if chern.config != config:
+        raise ConfigMismatchError("Chern data does not live on the given surface")
 
 
 def moduli_dim(config: SurfaceConfig, chern: ChernData) -> int:
@@ -87,6 +80,7 @@ def moduli_dim(config: SurfaceConfig, chern: ChernData) -> int:
 
     On these surfaces chi(O_X) = 1 - g and the irregularity is g.
     """
+    _require_on_surface(config, chern)
     g = config.genus
     value = 4 * chern.c2 - pairing(chern.c1, chern.c1) - 3 * (1 - g) + g
     return checked_int(value, "moduli dimension")
@@ -233,9 +227,7 @@ def maximize_family_dim(
     r0 = r0_generic(genus, eta, c2)
     delta = 2 * r0 - (eta - c2 - genus)
     cap = 4 * c2 + 4 * genus - 3 + m
-    return FamilyMaximizer(
-        checked_int(r0, "section degree"), (0,) * m, 1, checked_int(cap - delta, "family dimension")
-    )
+    return FamilyMaximizer(r0, (0,) * m, 1, checked_int(cap - delta, "family dimension"))
 
 
 class StructureKind(Enum):
@@ -265,14 +257,6 @@ class Classification:
     hilbert_exponent: int | None
     description: str
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "rationality": self.rationality.value,
-            "hilbert_exponent": self.hilbert_exponent,
-            "description": self.description,
-        }
-
 
 def classify_structure(config: SurfaceConfig, chern: ChernData) -> Classification:
     """Classify the moduli space by the parity of c1.F and the base genus.
@@ -281,6 +265,7 @@ def classify_structure(config: SurfaceConfig, chern: ChernData) -> Classificatio
     discriminant through the normalized c2), so it is stable under
     chern_twist.
     """
+    _require_on_surface(config, chern)
     genus = config.genus
     if chern.c1.a % 2 != 0:
         rationality = Rationality.RATIONAL if genus == 0 else Rationality.UNKNOWN

@@ -99,8 +99,7 @@ def subscheme_length_from_zeta(chern: ChernData, zeta: DivisorClass) -> int:
 
     Requires zeta congruent to c1 mod 2 componentwise, which makes the
     numerator divisible by 4.  A negative result is reported through
-    NegativeLengthWarning rather than an error so that wall probes can
-    inspect infeasible classes and say why they are excluded.
+    NegativeLengthWarning rather than an error.
     """
     c1 = chern.c1
     if zeta.config != c1.config:
@@ -158,7 +157,7 @@ def pushforward_degree_bound(
 
 def nagata_min_r(pushforward_degree: int, genus: int) -> int:
     """Least r with 2r >= pushforward_degree - genus (Nagata's bound)."""
-    return ceil_div(pushforward_degree - genus, 2)
+    return checked_int(ceil_div(pushforward_degree - genus, 2), "section degree")
 
 
 def chern_twist(chern: ChernData, t: DivisorClass) -> ChernData:

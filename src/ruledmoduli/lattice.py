@@ -50,8 +50,8 @@ class SurfaceConfig:
         """Rank of the numerical lattice, m + 2."""
         return self.num_points + 2
 
-    def divisor(self, a: int = 0, b: int = 0, exc=()) -> "DivisorClass":
-        exc = tuple(exc) if exc else (0,) * self.num_points
+    def divisor(self, a: int = 0, b: int = 0, exc=None) -> "DivisorClass":
+        exc = (0,) * self.num_points if exc is None else tuple(exc)
         return DivisorClass(a, b, exc, self)
 
     def zero(self) -> "DivisorClass":
@@ -156,9 +156,6 @@ class DivisorClass:
             out += f" {sign} {body}"
         return out
 
-    def to_json(self) -> dict:
-        return {"a": self.a, "b": self.b, "exc": list(self.exc)}
-
 
 _set_a, _set_b, _set_exc, _set_config = (
     DivisorClass.a.__set__,
@@ -192,13 +189,6 @@ class Effectivity:
             raise ValueError("effective verdicts must carry a decomposition witness")
         if self.verdict is EffectivityVerdict.NOT_EFFECTIVE and self.violated is None:
             raise ValueError("not-effective verdicts must carry a violated condition")
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict.value,
-            "decomposition": self.decomposition,
-            "violated": self.violated,
-        }
 
 
 def _require_same_config(d1: DivisorClass, d2: DivisorClass) -> None:

@@ -56,13 +56,6 @@ class SearchBox:
             * (2 * self.exceptional_bound + 1) ** num_points
         )
 
-    def to_json(self) -> dict:
-        return {
-            "a": self.section_bound,
-            "b": self.fiber_bound,
-            "exc": self.exceptional_bound,
-        }
-
 
 def default_box(sub: DivisorClass, quot: DivisorClass) -> SearchBox:
     entries = [sub.a, sub.b, *sub.exc, quot.a, quot.b, *quot.exc]
@@ -80,15 +73,6 @@ class DestabilizerCandidate:
     margin_times_two: int
     pruned: bool = False
 
-    def to_json(self) -> dict:
-        return {
-            "a": self.divisor.to_json(),
-            "branch": self.branch,
-            "effectivity": self.effectivity.to_json(),
-            "slope_margin": [self.margin_times_two, 2],
-            "pruned": self.pruned,
-        }
-
 
 @dataclass(frozen=True)
 class StabilityVerdict:
@@ -96,14 +80,6 @@ class StabilityVerdict:
     candidates: tuple[DestabilizerCandidate, ...]
     box: SearchBox
     notes: tuple[str, ...] = ()
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict.value,
-            "candidates": [c.to_json() for c in self.candidates],
-            "box": self.box.to_json(),
-            "notes": list(self.notes),
-        }
 
 
 def slope_margin(a: DivisorClass, c1: DivisorClass, l_cls: DivisorClass) -> int:

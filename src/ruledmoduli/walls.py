@@ -111,15 +111,6 @@ class WallClass:
         _set_zL(self, zL)
         return self
 
-    def to_json(self) -> dict:
-        return {
-            "zeta": self.zeta.to_json(),
-            "zeta_sq": self.zeta_sq,
-            "ell": self.ell,
-            "zF": self.zF,
-            "zL": self.zL,
-        }
-
 
 _set_zeta, _set_zeta_sq, _set_ell, _set_zF, _set_zL = (
     WallClass.zeta.__set__,

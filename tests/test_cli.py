@@ -1,10 +1,13 @@
 import argparse
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
-from ruledmoduli import ChernData, ExtensionDatum, SurfaceConfig
-from ruledmoduli.cli import COMMANDS, _parse, _schema, build_parser, run
+import ruledmoduli
+from ruledmoduli import ChernData, ExtensionDatum, SurfaceConfig, c1f1_report
+from ruledmoduli.cli import COMMANDS, _c1f1, _parse, _schema, _stability, build_parser, run
 
 CONFIG_00 = '{"genus":0,"e":0,"points":0}'
 CONFIG_G2 = '{"genus":2,"e":1,"points":0}'
@@ -236,6 +239,46 @@ class TestDeterminism:
     def test_envelope_shape(self, capsys):
         doc = result_of(capsys, ["family-dim", "example", "--n", "2"])
         assert set(doc) == {"status", "result", "assumptions", "warnings"}
+
+
+class TestResultDocuments:
+    """The handlers build the result documents; no other module writes JSON."""
+
+    def test_only_the_cli_reads_or_writes_json(self):
+        modules = sorted(Path(ruledmoduli.__file__).parent.glob("*.py"))
+        assert {"cli.py", "lattice.py", "walls.py"} <= {path.name for path in modules}
+        offenders = []
+        for path in modules:
+            if path.name == "cli.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "to_json":
+                    offenders.append(f"{path.name}:{node.lineno} defines to_json")
+                imported = [alias.name for alias in node.names] if isinstance(node, ast.Import) else (
+                    [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0 else [])
+                if any(name.split(".")[0] == "json" for name in imported):
+                    offenders.append(f"{path.name}:{node.lineno} imports json")
+        assert offenders == []
+
+    def test_family_report(self):
+        doc, notes = _c1f1(0, 1, 0, 0, 4)
+        assert set(doc) == {"family_dim", "moduli_dim", "ext1", "assumptions", "dominance"}
+        assert doc["dominance"] == "equal" and notes == []
+        assert all(set(a) == {"a", "b", "exc"} for a in doc["assumptions"])
+        report = c1f1_report(SurfaceConfig(0, 1, 0), beta=0, c2=4)
+        assert [(a["a"], a["b"], tuple(a["exc"])) for a in doc["assumptions"]] == [
+            (x.divisor.a, x.divisor.b, x.divisor.exc) for x in report.assumptions]
+
+    def test_stability_verdict(self):
+        # sub = -F, quot = 2F, length 2 on F_1 polarized by C0 + 10F
+        cfg = SurfaceConfig(0, 1, 0)
+        doc, _ = _stability(cfg, cfg.divisor(b=-1), cfg.divisor(b=2), 2, cfg.divisor(1, 10), None, None, None)
+        assert set(doc) == {"verdict", "candidates", "box", "notes"}
+        assert doc["verdict"] == "stable_certified"
+        assert doc["candidates"]
+        for candidate in doc["candidates"]:
+            assert set(candidate) == {"a", "branch", "effectivity", "slope_margin", "pruned"}
+            assert candidate["slope_margin"][1] == 2
 
 
 class TestErrorPaths:

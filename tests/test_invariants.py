@@ -6,7 +6,7 @@ from hypothesis import assume, given
 import hypothesis.strategies as st
 
 from conftest import config_with_divisors
-from ruledmoduli.cli import _parse
+from ruledmoduli.cli import _divisor_doc, _parse
 from ruledmoduli import (
     ChernData,
     ExtensionDatum,
@@ -146,6 +146,15 @@ class TestR0:
     def test_plain_ceiling(self):
         assert r0_generic(0, 0, 6) == -3
 
+    def test_out_of_range_section_degree(self):
+        # every argument is in range, the answer -3*2^62 + 1 is not
+        with pytest.raises(IntegerOverflowError, match="section degree -13835058055282163711"):
+            r0_generic(2**63 - 1, -(2**63), 2**63 - 1)
+        # r0_generic passes eta - c2, which may leave the range, to nagata_min_r
+        assert nagata_min_r(-(2**64), 0) == -(2**63)
+        with pytest.raises(IntegerOverflowError, match="section degree"):
+            nagata_min_r(-(2**64) - 2, 0)
+
     @given(st.integers(0, 6), st.integers(-3, 3), st.integers(-10, 40))
     def test_bracket(self, genus, eta, c2):
         lower = eta - c2 - genus
@@ -254,10 +263,10 @@ class TestDatumValidation:
             ExtensionDatum(d=0, r=0, q=(), chern=ChernData(cfg.divisor(a=1), 1))
 
     def test_round_trip(self):
-        # the CLI parser is the only JSON reader; a datum's fields read back whole
+        # the CLI is the only JSON reader and writer; a datum's fields read back whole
         datum = even_fiber_datum(1, 2, 1, 2, 9, r1=-3, ells=(0, 2))
         text = json.dumps({"d": datum.d, "r": datum.r, "q": list(datum.q),
-                           "c1": datum.chern.c1.to_json(), "c2": datum.chern.c2})
+                           "c1": _divisor_doc(datum.chern.c1), "c2": datum.chern.c2})
         assert _parse("datum", text, "--datum", datum.config) == datum
 
 

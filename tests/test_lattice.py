@@ -14,7 +14,7 @@ from conftest import (
     rebuild_from_decomposition,
 )
 from ruledmoduli.errors import INT64_MAX, INT64_MIN
-from ruledmoduli.cli import _parse
+from ruledmoduli.cli import _divisor_doc, _parse
 from ruledmoduli.lattice import pairing
 from ruledmoduli import (
     ConfigMismatchError,
@@ -380,6 +380,15 @@ class TestValidationAndJson:
             with pytest.raises((AttributeError, TypeError)):
                 d.note = "classes take no new attributes"
 
+    def test_divisor_checks_an_explicit_exc(self):
+        cfg = SurfaceConfig(0, 1, 2)
+        assert cfg.divisor(1, 2) == cfg.divisor(1, 2, (0, 0))
+        # an explicit empty exc is a wrong length, not a request for zeros
+        for exc in ([], (), (0,)):
+            with pytest.raises(ValueError, match="expected 2 exceptional coefficients"):
+                cfg.divisor(1, 2, exc)
+        assert SurfaceConfig(0, 1, 0).divisor(1, 2, []) == SurfaceConfig(0, 1, 0).divisor(1, 2)
+
     def test_constructor_range_checks_each_coordinate(self):
         cfg = SurfaceConfig(0, 0, 1)
         assert DivisorClass(1, 2, [3], cfg).exc == (3,)
@@ -397,10 +406,10 @@ class TestValidationAndJson:
             SurfaceConfig(0, 0, 0).fiber() * 1.5
 
     def test_round_trips(self):
-        # the CLI parser is the only JSON reader; what a class writes it reads back
+        # the CLI is the only JSON reader and writer; what it writes it reads back
         cfg = SurfaceConfig(1, -1, 2)
         text = json.dumps({"genus": cfg.genus, "e": cfg.invariant_e, "points": cfg.num_points})
         assert _parse("config", text, "--config", None) == cfg
         d = cfg.divisor(3, -4, (5, -6))
-        assert _parse("divisor", json.dumps(d.to_json()), "--divisor", cfg) == d
+        assert _parse("divisor", json.dumps(_divisor_doc(d)), "--divisor", cfg) == d
 

@@ -220,7 +220,7 @@ class TestSearchMechanics:
             SearchBox(0, 0, 2**70)
         with pytest.raises(ValueError, match="nonnegative"):
             SearchBox(-1, 0, 0)
-        assert SearchBox(0, 0, 2**63 - 1).to_json()["exc"] == 2**63 - 1
+        assert SearchBox(0, 0, 2**63 - 1).exceptional_bound == 2**63 - 1
 
     def test_rejects_negative_length(self):
         cfg = SurfaceConfig(0, 1, 0)
@@ -292,15 +292,6 @@ class TestSearchMechanics:
         # every candidate inside the smaller box shifts to a candidate of the
         # shifted search with the same doubled margin
         assert plain_hits <= shifted_hits
-
-    def test_verdict_json(self):
-        cfg, sub, quot, length, pol = worked_family(1, 1, 10)
-        verdict = destabilizer_search(cfg, sub, quot, length, pol)
-        doc = verdict.to_json()
-        assert set(doc) == {"verdict", "candidates", "box", "notes"}
-        assert doc["verdict"] == "stable_certified"
-        for candidate in doc["candidates"]:
-            assert candidate["slope_margin"][1] == 2
 
 
 @st.composite
