@@ -21,7 +21,7 @@ import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from . import families, invariants, stability, walls
+from . import invariants
 from .errors import IntegerOverflowError, RuledModuliError, checked_int
 from .lattice import DivisorClass, SurfaceConfig, canonical_class, euler_char, intersect
 from .invariants import ChernData, ExtensionDatum
@@ -64,7 +64,8 @@ def _divisor_doc(divisor: DivisorClass) -> dict:
     return {"a": divisor.a, "b": divisor.b, "exc": list(divisor.exc)}
 
 
-def _wall_doc(wall: walls.WallClass | None) -> dict | None:
+def _wall_doc(wall) -> dict | None:
+    """A ``walls.WallClass``, or None, as its document."""
     if wall is None:
         return None
     return {"zeta": _divisor_doc(wall.zeta), "zeta_sq": wall.zeta_sq, "ell": wall.ell, "zF": wall.zF, "zL": wall.zL}
@@ -139,6 +140,8 @@ def _parse(kind: str, text, flag: str, config: SurfaceConfig | None):
         value = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{flag} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # the decoder's depth is bounded by the recursion limit
+        raise UsageError(f"{flag} is nested too deeply to parse") from exc
     if not isinstance(value, (dict, list)):
         raise UsageError(f"{flag} must be a JSON object or array")
     try:
@@ -155,6 +158,8 @@ def _parse(kind: str, text, flag: str, config: SurfaceConfig | None):
         raise UsageError(f"{flag}: {exc}") from exc
 
 
+# Each handler imports the engine it calls (walls, families, stability) when it
+# runs, so a one-shot process compiles only the modules its subcommand needs.
 def _twist(config, c1, c2, t):
     twisted = invariants.chern_twist(ChernData(c1, c2), t)
     return {"c1": _divisor_doc(twisted.c1), "c2": twisted.c2, "discriminant": twisted.discriminant}, []
@@ -179,6 +184,8 @@ def _boundary_notes(boundary) -> list[str]:
 
 
 def _walls(config, c1, c2, polarization):
+    from . import walls
+
     search = walls.wall_search(config, ChernData(c1, c2), walls.Polarization(polarization))
     return {
         "walls": [_wall_doc(w) for w in search.walls],
@@ -188,6 +195,8 @@ def _walls(config, c1, c2, polarization):
 
 
 def _suitable(config, c1, c2, polarization):
+    from . import walls
+
     verdict = walls.is_suitable(config, ChernData(c1, c2), walls.Polarization(polarization))
     return {
         "suitable": verdict.suitable,
@@ -197,6 +206,8 @@ def _suitable(config, c1, c2, polarization):
 
 
 def _certify_dv0(config, c1, c2, polarization):
+    from . import walls
+
     certificate = walls.certify_dv_zero(config, ChernData(c1, c2), walls.Polarization(polarization))
     return {
         "certified": certificate.certified,
@@ -205,7 +216,8 @@ def _certify_dv0(config, c1, c2, polarization):
     }, _boundary_notes(certificate.boundary)
 
 
-def _family_report(report: families.FamilyReport):
+def _family_report(report):
+    """A ``families.FamilyReport`` as its document, with a note when the family exceeds the moduli."""
     doc = {
         "family_dim": report.family_dim,
         "moduli_dim": report.moduli_dim,
@@ -213,36 +225,54 @@ def _family_report(report: families.FamilyReport):
         "assumptions": [_divisor_doc(a.divisor) for a in report.assumptions],
         "dominance": report.dominance.value,
     }
-    if report.dominance is not families.Dominance.EXCEEDS:
+    if doc["dominance"] != "exceeds":
         return doc, []
     return doc, ["family dimension exceeds the moduli dimension; the input data is inconsistent with a dominating family"]
 
 
 def _c1f0(g, eta, m, n, eps, r1, h0, e, ell):
+    from . import families
+
     return _family_report(families.c1f0_report(SurfaceConfig(g, e, m), eta, n, eps, r1, ell, h0))
 
 
 def _c1f1(g, e, beta, rho, c2):
+    from . import families
+
     return _family_report(families.c1f1_report(SurfaceConfig(g, e, rho), beta, c2))
 
 
 def _example(n, e):
+    from . import families
+
     dims = families.reference_family_dims(n, e)
     return {"dim": dims.family_dim, "ext1": dims.ext1, "h0VD": dims.h0_twist}, []
 
 
 def _maximize(g, eta, m, n, eps):
+    from . import families
+
     best = families.maximize_family_dim(g, eta, m, n, eps)
     return {"r1": best.r1, "ell": list(best.ell), "h0": best.h0, "value": best.value}, []
 
 
+def _moduli_dim(config, c1, c2):
+    from . import families
+
+    return {"dim": families.moduli_dim(config, ChernData(c1, c2))}, []
+
+
 def _classify(config, c1, c2):
+    from . import families
+
     shape = families.classify_structure(config, ChernData(c1, c2))
     return {"kind": shape.kind.value, "rationality": shape.rationality.value,
             "hilbert_exponent": shape.hilbert_exponent, "description": shape.description}, []
 
 
 def _stability(config, sub, quot, ell, polarization, box_a, box_b, box_exc):
+    from . import stability, walls
+
     pol = walls.Polarization(polarization)
     bounds = (box_a, box_b, box_exc)
     box = None
@@ -301,8 +331,7 @@ COMMANDS: dict[str, _Command | dict[str, _Command]] = {
                             _example),
         "maximize": _Command(_FAMILY_FLAGS, {"r1": "int", "ell": "[int]", "h0": "int", "value": "int"}, _maximize),
     },
-    "moduli-dim": _Command(_CHERN_FLAGS, {"dim": "int"},
-                           lambda config, c1, c2: ({"dim": families.moduli_dim(config, ChernData(c1, c2))}, [])),
+    "moduli-dim": _Command(_CHERN_FLAGS, {"dim": "int"}, _moduli_dim),
     "classify": _Command(_CHERN_FLAGS,
                          {"kind": "odd_fiber | even_fiber_genus_zero | even_fiber_positive_genus",
                           "rationality": "rational | stably_rational | unknown",
@@ -391,7 +420,8 @@ def run(argv: list[str] | None = None) -> int:
                     result, notes = _execute(command, options)
             except (RuledModuliError, ValueError) as exc:
                 error = {"type": type(exc).__name__, "message": str(exc)}
-                doc, code = {"status": "error", "error": error, "assumptions": [], "warnings": []}, 1
+                warned = [str(w.message) for w in caught]
+                doc, code = {"status": "error", "error": error, "assumptions": [], "warnings": warned}, 1
             else:
                 notes.extend(str(w.message) for w in caught)
                 # family reports carry their vanishing assumptions; the envelope repeats them

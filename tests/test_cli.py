@@ -414,6 +414,27 @@ class TestErrorPaths:
         assert doc["result"]["length"] == 2 + 3 * (1 - 3)
         assert any("negative" in w for w in doc["warnings"])
 
+    def test_domain_error_keeps_the_warnings_raised_before_it(self, capsys):
+        # the datum warns of a negative length, then r0 leaves the 64-bit range
+        code, out, _ = invoke(
+            capsys,
+            ["invariants", "--config", '{"genus":9223372036854775807,"e":0,"points":0}', "--datum",
+             json.dumps({"d": -1, "r": -2**62, "q": [], "c1": {"a": -2, "b": -2**63, "exc": []},
+                         "c2": 2**63 - 1})],
+        )
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["error"]["type"] == "IntegerOverflowError"
+        assert doc["warnings"] == ["derived subscheme length -1 is negative; "
+                                   "no locally free extension realizes this data"]
+
+    @pytest.mark.parametrize("depth", [900, 1000, 100_000])
+    def test_deeply_nested_payload_is_usage_error(self, capsys, depth):
+        code, out, err = invoke(capsys, ["intersect", "--config", CONFIG_00,
+                                         "--d1", "[" * depth + "]" * depth, "--d2", FIBER])
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: --d1")
+
 
 # the payload doc of each JSON object flag, as --schema prints it
 SCHEMA_DOCS = {flag: doc["payload"] for name in ("rr", "invariants")
