@@ -71,7 +71,7 @@ class FamilyReport:
 
 
 def _require_on_surface(config: SurfaceConfig, chern: ChernData) -> None:
-    if chern.config != config:
+    if chern.config is not config and chern.config != config:
         raise ConfigMismatchError("Chern data does not live on the given surface")
 
 

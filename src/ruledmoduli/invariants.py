@@ -102,7 +102,7 @@ def subscheme_length_from_zeta(chern: ChernData, zeta: DivisorClass) -> int:
     NegativeLengthWarning rather than an error.
     """
     c1 = chern.c1
-    if zeta.config != c1.config:
+    if zeta.config is not c1.config and zeta.config != c1.config:
         raise ConfigMismatchError(
             f"classes live on different surfaces: {zeta.config} vs {c1.config}"
         )

@@ -17,8 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
+from operator import add, mul, neg, sub
 
 from .errors import (
+    INT64_MAX,
+    INT64_MIN,
     ConfigMismatchError,
     ParityError,
     UnsupportedSurfaceError,
@@ -78,7 +82,13 @@ class SurfaceConfig:
 
 @dataclass(frozen=True, slots=True)
 class DivisorClass:
-    """Integer vector (a, b, c_1..c_m) in the basis {C0, F, E1..Em}."""
+    """Integer vector (a, b, c_1..c_m) in the basis {C0, F, E1..Em}.
+
+    Every coordinate must be an ``int`` (``bool`` is not one); anything else
+    raises TypeError.  A class is range-checked once, when it is built: the
+    constructor and the arithmetic operators check the coordinates of the
+    class they return and nothing else.
+    """
 
     a: int
     b: int
@@ -86,16 +96,16 @@ class DivisorClass:
     config: SurfaceConfig = field(repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "exc", tuple(self.exc))
-        if len(self.exc) != self.config.num_points:
+        exc = self.exc
+        if type(exc) is not tuple:
+            exc = tuple(exc)
+            _set_exc(self, exc)
+        if len(exc) != self.config.num_points:
             raise ValueError(
                 f"expected {self.config.num_points} exceptional coefficients, "
-                f"got {len(self.exc)}"
+                f"got {len(exc)}"
             )
-        checked_int(self.a, "C0 coefficient")
-        checked_int(self.b, "F coefficient")
-        for c in self.exc:
-            checked_int(c, "exceptional coefficient")
+        _check_coordinates(self.a, self.b, exc)
 
     @classmethod
     def _unchecked(cls, a: int, b: int, exc: tuple[int, ...], config: SurfaceConfig) -> "DivisorClass":
@@ -112,28 +122,31 @@ class DivisorClass:
         _set_config(self, config)
         return self
 
+    @classmethod
+    def _checked(cls, a: int, b: int, exc: tuple[int, ...], config: SurfaceConfig) -> "DivisorClass":
+        """The class operators' constructor: ``exc`` is a tuple of length m,
+        so only the coordinates are checked."""
+        _check_coordinates(a, b, exc)
+        return cls._unchecked(a, b, exc, config)
+
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         _require_same_config(self, other)
-        exc = tuple(x + y for x, y in zip(self.exc, other.exc))
-        return DivisorClass(self.a + other.a, self.b + other.b, exc, self.config)
+        exc = tuple(map(add, self.exc, other.exc))
+        return DivisorClass._checked(self.a + other.a, self.b + other.b, exc, self.config)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         _require_same_config(self, other)
-        exc = tuple(x - y for x, y in zip(self.exc, other.exc))
-        return DivisorClass(self.a - other.a, self.b - other.b, exc, self.config)
+        exc = tuple(map(sub, self.exc, other.exc))
+        return DivisorClass._checked(self.a - other.a, self.b - other.b, exc, self.config)
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(-self.a, -self.b, tuple(-c for c in self.exc), self.config)
+        return DivisorClass._checked(-self.a, -self.b, tuple(map(neg, self.exc)), self.config)
 
     def __mul__(self, scalar: int):
         if not isinstance(scalar, int):
             return NotImplemented
-        return DivisorClass(
-            scalar * self.a,
-            scalar * self.b,
-            tuple(scalar * c for c in self.exc),
-            self.config,
-        )
+        exc = tuple(map(mul, repeat(scalar), self.exc))
+        return DivisorClass._checked(scalar * self.a, scalar * self.b, exc, self.config)
 
     __rmul__ = __mul__
 
@@ -165,6 +178,31 @@ _set_a, _set_b, _set_exc, _set_config = (
 )
 
 
+def _check_coordinates(a: int, b: int, exc: tuple[int, ...]) -> None:
+    """Raise unless every coordinate is an int in the 64-bit range.
+
+    One pass of type and range tests covers the usual in-range class; only
+    when it fails are the coordinates checked one by one, C0, F, then the
+    exceptional ones, so the first bad coordinate names the error.
+    """
+    if type(a) is int is type(b) and INT64_MIN <= a <= INT64_MAX and INT64_MIN <= b <= INT64_MAX:
+        for c in exc:
+            if type(c) is not int or not INT64_MIN <= c <= INT64_MAX:
+                break
+        else:
+            return
+    _check_coordinate(a, "C0 coefficient")
+    _check_coordinate(b, "F coefficient")
+    for c in exc:
+        _check_coordinate(c, "exceptional coefficient")
+
+
+def _check_coordinate(value: int, name: str) -> None:
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    checked_int(value, name)
+
+
 class EffectivityVerdict(Enum):
     EFFECTIVE = "effective"
     NOT_EFFECTIVE = "not_effective"
@@ -192,7 +230,7 @@ class Effectivity:
 
 
 def _require_same_config(d1: DivisorClass, d2: DivisorClass) -> None:
-    if d1.config != d2.config:
+    if d1.config is not d2.config and d1.config != d2.config:
         raise ConfigMismatchError(
             f"classes live on different surfaces: {d1.config} vs {d2.config}"
         )
@@ -207,7 +245,7 @@ def pairing(d1: DivisorClass, d2: DivisorClass) -> int:
     _require_same_config(d1, d2)
     e = d1.config.invariant_e
     total = -e * d1.a * d2.a + d1.a * d2.b + d2.a * d1.b
-    return total - sum(x * y for x, y in zip(d1.exc, d2.exc))
+    return total - sum(map(mul, d1.exc, d2.exc))
 
 
 def intersect(d1: DivisorClass, d2: DivisorClass) -> int:
@@ -237,7 +275,7 @@ def euler_char(config: SurfaceConfig, d: DivisorClass) -> int:
     The pairing D.(D - K) is even on any smooth surface; a parity failure
     therefore means the lattice data is corrupt and raises ParityError.
     """
-    if d.config != config:
+    if d.config is not config and d.config != config:
         raise ConfigMismatchError("divisor does not live on the given surface")
     d_k = d.a * (2 * config.genus - 2 + config.invariant_e) - 2 * d.b - sum(d.exc)
     d_dk = pairing(d, d) - d_k
@@ -259,7 +297,7 @@ def effectivity(d: DivisorClass) -> Effectivity:
     so soundness wins over completeness.
     """
     fiber_degree = d.a  # d.F with the mixed products zero
-    need = sum(max(0, -c) for c in d.exc)
+    need = (sum(map(abs, d.exc)) - sum(d.exc)) // 2  # sum of max(0, -ci)
     if d.a >= 0 and d.b - need >= 0:
         decomposition: dict[str, int] = {}
         if d.a:
@@ -299,7 +337,7 @@ def h0_hirzebruch(config: SurfaceConfig, d: DivisorClass) -> int:
         raise UnsupportedSurfaceError(
             "exact section counts require genus 0 and no blown-up points"
         )
-    if d.config != config:
+    if d.config is not config and d.config != config:
         raise ConfigMismatchError("divisor does not live on the given surface")
     return checked_int(_h0_hirzebruch(config.invariant_e, d.a, d.b), "section count")
 

@@ -130,7 +130,7 @@ def destabilizer_search(
     if box.volume(m) > max_candidates:
         raise BoxTooLargeError(f"box volume {box.volume(m)} exceeds the cap of {max_candidates}")
 
-    if polarization.config != config:
+    if polarization.config is not config and polarization.config != config:
         raise ConfigMismatchError("polarization does not live on the given surface")
     checks = polarization.checks
     # c1.L is a term of every margin; only the margins are range-checked

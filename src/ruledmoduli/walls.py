@@ -182,9 +182,9 @@ def _slices(config, chern, polarization, max_candidates, walk_runs):
     empty prefix and each full vector included) and, with ``walk_runs``,
     every b of each run.
     """
-    if chern.config != config:
+    if chern.config is not config and chern.config != config:
         raise ConfigMismatchError("Chern data does not live on the given surface")
-    if polarization.config != config:
+    if polarization.config is not config and polarization.config != config:
         raise ConfigMismatchError("polarization does not live on the given surface")
 
     disc = chern.discriminant

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -17,18 +18,26 @@ from ruledmoduli.errors import INT64_MAX, INT64_MIN
 from ruledmoduli.cli import _divisor_doc, _parse
 from ruledmoduli.lattice import pairing
 from ruledmoduli import (
+    ChernData,
     ConfigMismatchError,
     DivisorClass,
     Effectivity,
     EffectivityVerdict,
     IntegerOverflowError,
+    Polarization,
+    SearchBox,
     SurfaceConfig,
     UnsupportedSurfaceError,
     canonical_class,
+    classify_structure,
+    destabilizer_search,
     effectivity,
     euler_char,
     h0_hirzebruch,
     intersect,
+    moduli_dim,
+    subscheme_length_from_zeta,
+    wall_search,
 )
 
 
@@ -53,16 +62,38 @@ class TestIntersection:
         assert intersect(d, d) == -1 - 20 - 2 == -23
 
     def test_rejects_config_mismatch(self):
-        d1 = SurfaceConfig(0, 1, 0).zero()
-        d2 = SurfaceConfig(0, 2, 0).zero()
-        with pytest.raises(ConfigMismatchError):
-            intersect(d1, d2)
-        with pytest.raises(ConfigMismatchError):
-            d1 + d2
-        with pytest.raises(ConfigMismatchError):
-            euler_char(d2.config, d1)
-        with pytest.raises(ConfigMismatchError):
-            h0_hirzebruch(d2.config, d1)
+        """Every surface check compares by identity first: a different surface
+        is refused with its message, and an equal but distinct copy of the
+        surface gives the same answer as the surface itself."""
+        cfg, foreign, copy = SurfaceConfig(0, 1, 0), SurfaceConfig(0, 2, 0), SurfaceConfig(0, 1, 0)
+        pair = f"classes live on different surfaces: {cfg} vs {foreign}"
+
+        def calls(away):
+            """One call per site, with a single argument on the surface ``away``."""
+            d, d_away = cfg.divisor(1, 3), away.divisor(1, 3)
+            chern, chern_away = ChernData(cfg.divisor(1, 1), 5), ChernData(away.divisor(1, 1), 5)
+            pol, pol_away = Polarization(cfg.divisor(1, 4)), Polarization(away.divisor(1, 4))
+            box = SearchBox(1, 1, 0)
+            return [
+                (lambda: intersect(d, d_away), pair),
+                (lambda: d + d_away, pair),
+                (lambda: d - d_away, pair),
+                (lambda: euler_char(away, d), "divisor does not live on the given surface"),
+                (lambda: h0_hirzebruch(away, d), "divisor does not live on the given surface"),
+                (lambda: subscheme_length_from_zeta(chern, away.divisor(1, 1)),
+                 f"classes live on different surfaces: {away} vs {cfg}"),
+                (lambda: moduli_dim(away, chern), "Chern data does not live on the given surface"),
+                (lambda: classify_structure(away, chern), "Chern data does not live on the given surface"),
+                (lambda: wall_search(cfg, chern_away, pol), "Chern data does not live on the given surface"),
+                (lambda: wall_search(cfg, chern, pol_away), "polarization does not live on the given surface"),
+                (lambda: destabilizer_search(cfg, d, d, 0, pol_away, box),
+                 "polarization does not live on the given surface"),
+            ]
+
+        for (call, message), (same, _), (equal, _) in zip(calls(foreign), calls(cfg), calls(copy)):
+            with pytest.raises(ConfigMismatchError, match=f"^{re.escape(message)}$"):
+                call()
+            assert equal() == same()
 
     def test_overflow_is_an_error_not_a_wrap(self):
         cfg = SurfaceConfig(0, 1, 0)
@@ -92,12 +123,16 @@ EDGE = st.one_of(
 
 @st.composite
 def edge_pairs(draw):
-    """Two classes with coordinates at or near the 64-bit edges; the second
-    lives on another surface about one time in five."""
+    """Two classes with coordinates at or near the 64-bit edges.  About one
+    time in five the second lives on another surface, and one time in five
+    on an equal but distinct copy of the first one's surface."""
     cfg = draw(configs(max_points=2))
     other = cfg
-    if draw(st.integers(0, 4)) == 0:
+    pick = draw(st.integers(0, 4))
+    if pick == 0:
         other = SurfaceConfig(cfg.genus, cfg.invariant_e + 1, cfg.num_points)
+    elif pick == 1:
+        other = SurfaceConfig(cfg.genus, cfg.invariant_e, cfg.num_points)
     x, y = (
         c.divisor(draw(EDGE), draw(EDGE), tuple(draw(EDGE) for _ in range(c.num_points)))
         for c in (cfg, other)
@@ -105,8 +140,32 @@ def edge_pairs(draw):
     return x, y
 
 
+def exact_or_overflow(build, coords):
+    """``build()`` answers with exactly ``coords``, or raises the message that
+    names the first of them outside the 64-bit range; returns the answer."""
+    names = ["C0", "F"] + ["exceptional"] * (len(coords) - 2)
+    for name, c in zip(names, coords):
+        if not INT64_MIN <= c <= INT64_MAX:
+            with pytest.raises(IntegerOverflowError,
+                               match=f"^{name} coefficient {c} exceeds the signed 64-bit range$"):
+                build()
+            return None
+    d = build()
+    assert (d.a, d.b, *d.exc) == coords
+    return d
+
+
+def outcome(call):
+    """A call's result, or the type and message of the domain error it raised."""
+    try:
+        return call()
+    except (ConfigMismatchError, IntegerOverflowError) as exc:
+        return type(exc), str(exc)
+
+
 class TestSubtraction:
-    """x - y is one class: only its own coordinates are range-checked."""
+    """Each class operation builds one class and range-checks only its own
+    coordinates; an equal copy of the surface combines like the surface."""
 
     @given(edge_pairs())
     # at -2^63: (2^63 - 1)C0 is in range, 2^63 C0 is not, a mismatch wins
@@ -120,31 +179,52 @@ class TestSubtraction:
             with pytest.raises(ConfigMismatchError):
                 x - y
             return
+        same = DivisorClass._unchecked(y.a, y.b, y.exc, x.config)
+        assert outcome(lambda: x - y) == outcome(lambda: x - same)
         coords = (x.a - y.a, x.b - y.b, *(p - q for p, q in zip(x.exc, y.exc)))
-        outside = [c for c in coords if not INT64_MIN <= c <= INT64_MAX]
-        if outside:
-            # the first coordinate of the true difference that leaves the range
-            with pytest.raises(IntegerOverflowError, match=f" {outside[0]} exceeds"):
-                x - y
+        d = exact_or_overflow(lambda: x - y, coords)
+        if d is None:
             return
-        d = x - y
-        assert (d.a, d.b, *d.exc) == coords
         try:
             assert x + (-y) == d
         except IntegerOverflowError:
             assert INT64_MIN in (y.a, y.b, *y.exc)
 
+    @given(edge_pairs(), st.one_of(st.integers(-3, 3), EDGE))
+    @example((F0.divisor(INT64_MIN), F0.divisor(INT64_MIN)), -1)
+    @example((F0_1.divisor(1, exc=(INT64_MIN,)), F0_1.divisor(INT64_MAX, exc=(0,))), 2)
+    def test_sum_negation_and_multiples_are_range_checked(self, pair, scalar):
+        x, y = pair
+        if x.config != y.config:
+            with pytest.raises(ConfigMismatchError):
+                x + y
+        else:
+            same = DivisorClass._unchecked(y.a, y.b, y.exc, x.config)
+            assert outcome(lambda: x + y) == outcome(lambda: x + same)
+            exact_or_overflow(lambda: x + y, (x.a + y.a, x.b + y.b, *map(sum, zip(x.exc, y.exc))))
+        exact_or_overflow(lambda: -x, (-x.a, -x.b, *(-c for c in x.exc)))
+        multiple = (scalar * x.a, scalar * x.b, *(scalar * c for c in x.exc))
+        exact_or_overflow(lambda: scalar * x, multiple)
+        exact_or_overflow(lambda: x * scalar, multiple)
+
     def test_builds_one_class(self, monkeypatch):
+        # the constructor checks in __post_init__; the operators build through
+        # DivisorClass._checked and never run __init__ or __post_init__
         cfg = SurfaceConfig(1, 0, 2)
         x, y = cfg.divisor(1, 2, (3, 4)), cfg.divisor(-5, 6, (7, -8))
         built = []
-        post_init = DivisorClass.__post_init__
+        post_init, checked = DivisorClass.__post_init__, DivisorClass._checked
 
-        def counting(self):
+        def counting_post_init(self):
             built.append(self)
             post_init(self)
 
-        monkeypatch.setattr(DivisorClass, "__post_init__", counting)
+        def counting_checked(cls, *coords):
+            built.append(checked(*coords))
+            return built[-1]
+
+        monkeypatch.setattr(DivisorClass, "__post_init__", counting_post_init)
+        monkeypatch.setattr(DivisorClass, "_checked", classmethod(counting_checked))
         d = x - y
         assert built == [d]
         assert d == DivisorClass(6, -4, (-4, 12), cfg)
@@ -396,6 +476,29 @@ class TestValidationAndJson:
                              ((0, 0, (2**63,)), "exceptional")]:
             with pytest.raises(IntegerOverflowError, match=f"{name} coefficient"):
                 DivisorClass(*coords, cfg)
+
+    @pytest.mark.parametrize("bad", [0.5, 2.0, True, False, "1"])
+    def test_coordinates_must_be_ints(self, bad):
+        # effectivity would certify 0.5*C0 + 2F with the decomposition
+        # {'C0': 0.5, 'F': 2}, so no such class may be built
+        cfg = SurfaceConfig(0, 1, 1)
+        for coords, name in [((bad, 0, (0,)), "C0"), ((0, bad, (0,)), "F"),
+                             ((0, 0, (bad,)), "exceptional")]:
+            message = f"^{name} coefficient must be an int, got {re.escape(repr(bad))}$"
+            with pytest.raises(TypeError, match=message):
+                DivisorClass(*coords, cfg)
+            with pytest.raises(TypeError, match=message):
+                cfg.divisor(*coords)
+        # the first bad coordinate names the error, whatever its kind
+        with pytest.raises(IntegerOverflowError, match="^C0 coefficient"):
+            DivisorClass(2**63, bad, (0,), cfg)
+        with pytest.raises(TypeError, match="^C0 coefficient"):
+            DivisorClass(bad, 2**63, (0,), cfg)
+
+    def test_tracer_can_patch_the_constructor(self):
+        # bench/tracer.py wraps both methods to count the classes built
+        assert "__init__" in vars(DivisorClass)
+        assert "__post_init__" in vars(DivisorClass)
 
     def test_divisor_length_mismatch(self):
         with pytest.raises(ValueError):
