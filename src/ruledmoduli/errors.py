@@ -73,7 +73,11 @@ class NegativeLengthWarning(UserWarning):
 
 
 def checked_int(value: int, context: str = "value") -> int:
-    """Return ``value`` unchanged, or raise if it leaves the 64-bit range."""
+    """The package's one integer gate: return ``value`` unchanged, or raise
+    TypeError unless it is an int (not a bool), or IntegerOverflowError
+    unless it lies in the 64-bit range."""
+    if type(value) is not int:
+        raise TypeError(f"{context} must be an int, got {value!r}")
     if value < INT64_MIN or value > INT64_MAX:
         raise IntegerOverflowError(
             f"{context} {value} exceeds the signed 64-bit range"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import AssumptionViolatedError, ConfigMismatchError, checked_int
+from .errors import AssumptionViolatedError, checked_int
 from .invariants import (
     ChernData,
     ExtensionDatum,
@@ -26,7 +26,8 @@ from .lattice import (
     DivisorClass,
     EffectivityVerdict,
     SurfaceConfig,
-    canonical_class,
+    _canonical_term,
+    _require_surface,
     effectivity,
     euler_char,
     h0_hirzebruch,
@@ -70,17 +71,12 @@ class FamilyReport:
         return Dominance.EXCEEDS
 
 
-def _require_on_surface(config: SurfaceConfig, chern: ChernData) -> None:
-    if chern.config is not config and chern.config != config:
-        raise ConfigMismatchError("Chern data does not live on the given surface")
-
-
 def moduli_dim(config: SurfaceConfig, chern: ChernData) -> int:
     """Expected dimension 4*c2 - c1^2 - 3*chi(O_X) + q(X) of the moduli space.
 
     On these surfaces chi(O_X) = 1 - g and the irregularity is g.
     """
-    _require_on_surface(config, chern)
+    _require_surface(config, chern.config, "Chern data")
     g = config.genus
     value = 4 * chern.c2 - pairing(chern.c1, chern.c1) - 3 * (1 - g) + g
     return checked_int(value, "moduli dimension")
@@ -97,12 +93,13 @@ def ext1_rr(
     Valid when h^0(O(sub - quot)) = 0 and h^0(O(K + quot - sub) tensor I_Z)
     vanishes; both classes are returned as first-class assumptions, screened
     against the effectivity semi-decision.  A certified-effective assumption
-    class falsifies the formula and raises AssumptionViolatedError.
+    class falsifies the formula and raises AssumptionViolatedError.  K is a
+    term, so only the two assumption classes are range-checked.
     """
-    if ell < 0:
+    if checked_int(ell, "subscheme length") < 0:
         raise ValueError(f"subscheme length must be >= 0, got {ell}")
     difference = sub - quot
-    dual_class = canonical_class(config) - difference
+    dual_class = _canonical_term(config) - difference
     assumptions = (
         VanishingAssumption(difference),
         VanishingAssumption(dual_class, twisted_by_ideal=True),
@@ -265,7 +262,7 @@ def classify_structure(config: SurfaceConfig, chern: ChernData) -> Classificatio
     discriminant through the normalized c2), so it is stable under
     chern_twist.
     """
-    _require_on_surface(config, chern)
+    _require_surface(config, chern.config, "Chern data")
     genus = config.genus
     if chern.c1.a % 2 != 0:
         rationality = Rationality.RATIONAL if genus == 0 else Rationality.UNKNOWN

@@ -22,8 +22,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .errors import ConfigMismatchError, NegativeLengthWarning, ParityError, checked_int
-from .lattice import DivisorClass, SurfaceConfig, pairing
+from .errors import NegativeLengthWarning, ParityError, checked_int
+from .lattice import DivisorClass, SurfaceConfig, _require_same_config, pairing
 
 
 def ceil_div(num: int, den: int) -> int:
@@ -102,10 +102,7 @@ def subscheme_length_from_zeta(chern: ChernData, zeta: DivisorClass) -> int:
     NegativeLengthWarning rather than an error.
     """
     c1 = chern.c1
-    if zeta.config is not c1.config and zeta.config != c1.config:
-        raise ConfigMismatchError(
-            f"classes live on different surfaces: {zeta.config} vs {c1.config}"
-        )
+    _require_same_config(zeta, c1)
     if any((z - c) % 2 for z, c in zip((zeta.a, zeta.b, *zeta.exc), (c1.a, c1.b, *c1.exc))):
         raise ParityError(
             f"zeta = {zeta} is not congruent to c1 = {c1} mod 2"

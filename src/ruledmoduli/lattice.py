@@ -182,8 +182,8 @@ def _check_coordinates(a: int, b: int, exc: tuple[int, ...]) -> None:
     """Raise unless every coordinate is an int in the 64-bit range.
 
     One pass of type and range tests covers the usual in-range class; only
-    when it fails are the coordinates checked one by one, C0, F, then the
-    exceptional ones, so the first bad coordinate names the error.
+    when it fails does ``checked_int`` gate the coordinates one by one, C0,
+    F, then the exceptional ones, so the first bad coordinate names the error.
     """
     if type(a) is int is type(b) and INT64_MIN <= a <= INT64_MAX and INT64_MIN <= b <= INT64_MAX:
         for c in exc:
@@ -191,16 +191,10 @@ def _check_coordinates(a: int, b: int, exc: tuple[int, ...]) -> None:
                 break
         else:
             return
-    _check_coordinate(a, "C0 coefficient")
-    _check_coordinate(b, "F coefficient")
+    checked_int(a, "C0 coefficient")
+    checked_int(b, "F coefficient")
     for c in exc:
-        _check_coordinate(c, "exceptional coefficient")
-
-
-def _check_coordinate(value: int, name: str) -> None:
-    if type(value) is not int:
-        raise TypeError(f"{name} must be an int, got {value!r}")
-    checked_int(value, name)
+        checked_int(c, "exceptional coefficient")
 
 
 class EffectivityVerdict(Enum):
@@ -236,6 +230,12 @@ def _require_same_config(d1: DivisorClass, d2: DivisorClass) -> None:
         )
 
 
+def _require_surface(config: SurfaceConfig, other: SurfaceConfig, what: str) -> None:
+    """The surface check of every engine: ``what`` lives on ``other``."""
+    if other is not config and other != config:
+        raise ConfigMismatchError(f"{what} does not live on the given surface")
+
+
 def pairing(d1: DivisorClass, d2: DivisorClass) -> int:
     """Symmetric bilinear intersection pairing, exact and not range-checked.
 
@@ -259,11 +259,15 @@ def canonical_class(config: SurfaceConfig) -> DivisorClass:
     The formula is pinned down by adjunction: K.F = -2 with F^2 = 0 (rational
     fibres), K.Ei = -1 with Ei^2 = -1, and K.C0 = e + 2g - 2 with C0^2 = -e.
     """
-    return config.divisor(
-        a=-2,
-        b=2 * config.genus - 2 - config.invariant_e,
-        exc=(1,) * config.num_points,
-    )
+    k = _canonical_term(config)
+    return DivisorClass._checked(k.a, k.b, k.exc, config)
+
+
+def _canonical_term(config: SurfaceConfig) -> DivisorClass:
+    """K without its range check, for a formula that checks its own result:
+    K may leave the range when K - D does not."""
+    b = 2 * config.genus - 2 - config.invariant_e
+    return DivisorClass._unchecked(-2, b, (1,) * config.num_points, config)
 
 
 def euler_char(config: SurfaceConfig, d: DivisorClass) -> int:
@@ -275,8 +279,7 @@ def euler_char(config: SurfaceConfig, d: DivisorClass) -> int:
     The pairing D.(D - K) is even on any smooth surface; a parity failure
     therefore means the lattice data is corrupt and raises ParityError.
     """
-    if d.config is not config and d.config != config:
-        raise ConfigMismatchError("divisor does not live on the given surface")
+    _require_surface(config, d.config, "divisor")
     d_k = d.a * (2 * config.genus - 2 + config.invariant_e) - 2 * d.b - sum(d.exc)
     d_dk = pairing(d, d) - d_k
     if d_dk % 2 != 0:
@@ -337,8 +340,7 @@ def h0_hirzebruch(config: SurfaceConfig, d: DivisorClass) -> int:
         raise UnsupportedSurfaceError(
             "exact section counts require genus 0 and no blown-up points"
         )
-    if d.config is not config and d.config != config:
-        raise ConfigMismatchError("divisor does not live on the given surface")
+    _require_surface(config, d.config, "divisor")
     return checked_int(_h0_hirzebruch(config.invariant_e, d.a, d.b), "section count")
 
 

@@ -17,13 +17,14 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 
-from .errors import BoxTooLargeError, ConfigMismatchError, checked_int
+from .errors import BoxTooLargeError, checked_int
 from .lattice import (
     DivisorClass,
     Effectivity,
     EffectivityVerdict,
     SurfaceConfig,
     _h0_hirzebruch,
+    _require_surface,
     effectivity,
     pairing,
 )
@@ -45,9 +46,9 @@ class SearchBox:
     exceptional_bound: int
 
     def __post_init__(self) -> None:
-        if min(self.section_bound, self.fiber_bound, self.exceptional_bound) < 0:
+        bounds = (self.section_bound, self.fiber_bound, self.exceptional_bound)
+        if min(checked_int(bound, "box bound") for bound in bounds) < 0:
             raise ValueError("box bounds must be nonnegative")
-        checked_int(max(self.section_bound, self.fiber_bound, self.exceptional_bound), "box bound")
 
     def volume(self, num_points: int) -> int:
         return (
@@ -122,7 +123,7 @@ def destabilizer_search(
     k cannot inject.  On F_e that h^0 is positive exactly when a >= 0 and
     k >= -b, and h^0(quot + kF) never decreases in k, so k = -b decides.
     """
-    if ell < 0:
+    if checked_int(ell, "subscheme length") < 0:
         raise ValueError(f"subscheme length must be >= 0, got {ell}")
     if box is None:
         box = default_box(sub, quot)
@@ -130,8 +131,7 @@ def destabilizer_search(
     if box.volume(m) > max_candidates:
         raise BoxTooLargeError(f"box volume {box.volume(m)} exceeds the cap of {max_candidates}")
 
-    if polarization.config is not config and polarization.config != config:
-        raise ConfigMismatchError("polarization does not live on the given surface")
+    _require_surface(config, polarization.config, "polarization")
     checks = polarization.checks
     # c1.L is a term of every margin; only the margins are range-checked
     c1_l = pairing(sub, polarization.cls) + pairing(quot, polarization.cls)

@@ -44,14 +44,13 @@ from math import isqrt
 from .errors import (
     INT64_MAX,
     INT64_MIN,
-    ConfigMismatchError,
     InvalidPolarizationError,
     NotApplicableError,
     SearchBoundsError,
     checked_int,
 )
 from .invariants import ChernData, normalize_chern
-from .lattice import DivisorClass, SurfaceConfig, intersect, pairing
+from .lattice import DivisorClass, SurfaceConfig, _require_surface, intersect, pairing
 
 
 @dataclass(frozen=True)
@@ -182,10 +181,8 @@ def _slices(config, chern, polarization, max_candidates, walk_runs):
     empty prefix and each full vector included) and, with ``walk_runs``,
     every b of each run.
     """
-    if chern.config is not config and chern.config != config:
-        raise ConfigMismatchError("Chern data does not live on the given surface")
-    if polarization.config is not config and polarization.config != config:
-        raise ConfigMismatchError("polarization does not live on the given surface")
+    _require_surface(config, chern.config, "Chern data")
+    _require_surface(config, polarization.config, "polarization")
 
     disc = chern.discriminant
     if disc <= 0:
@@ -307,7 +304,7 @@ def _decide(config, chern, polarization, max_candidates):
     """(witness, boundary) of the decision queries, without walking any run.
 
     The first class of a slice is a separating wall when its zeta.L < 0, and
-    the slice's boundary class is the b0 of the run with zeta.L = 0, if any.
+    its boundary class, if any, is at b_last, where zeta.L = 0 can only be.
     The witness is the lexicographically smallest separating wall on
     (a, b, exc), which is ``wall_search(...).walls[0]``, or else the first
     boundary class; ``boundary`` is complete and in the enumeration's
@@ -332,11 +329,10 @@ def _decide(config, chern, polarization, max_candidates):
             or (witness.zF == a and (b, exc) < (witness.zeta.b, witness.zeta.exc))
         ):
             witness = new_wall(new_class(a, b, exc, config), z_sq, ell, a, z_l)
-        steps, rest = divmod(-z_l, 2 * p)
-        if rest == 0 and b + 2 * steps <= b_last:
-            b += 2 * steps
-            wall = new_wall(new_class(a, b, exc, config), z_sq + 4 * a * steps, ell + a * steps, a, 0)
-            boundary_at[b].append(wall)
+        steps = (b_last - b) // 2
+        if z_l + 2 * p * steps == 0:
+            wall = new_wall(new_class(a, b_last, exc, config), z_sq + 4 * a * steps, ell + a * steps, a, 0)
+            boundary_at[b_last].append(wall)
     _drain(boundary_at, boundary)
     if witness is None and boundary:
         witness = boundary[0]

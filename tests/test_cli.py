@@ -260,6 +260,22 @@ class TestResultDocuments:
                     offenders.append(f"{path.name}:{node.lineno} imports json")
         assert offenders == []
 
+    def test_only_the_gates_raise_surface_and_integer_errors(self):
+        """lattice.py holds the only surface checks, and errors.checked_int is
+        the only integer gate, so no other module raises their errors."""
+        gates = {"ConfigMismatchError": "lattice.py", "IntegerOverflowError": "errors.py",
+                 "TypeError": "errors.py"}
+        raised = set()
+        for path in sorted(Path(ruledmoduli.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                        and isinstance(node.exc.func, ast.Name) and node.exc.func.id in gates):
+                    continue
+                name = node.exc.func.id
+                if name != "TypeError" or "must be an int" in ast.unparse(node.exc):
+                    raised.add((path.name, name))
+        assert raised == {(path, name) for name, path in gates.items()}
+
     def test_family_report(self):
         doc, notes = _c1f1(0, 1, 0, 0, 4)
         assert set(doc) == {"family_dim", "moduli_dim", "ext1", "assumptions", "dominance"}

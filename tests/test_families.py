@@ -15,6 +15,7 @@ from ruledmoduli import (
     SurfaceConfig,
     c1f0_report,
     c1f1_report,
+    canonical_class,
     chern_twist,
     classify_structure,
     ext1_rr,
@@ -97,6 +98,19 @@ class TestExt1:
         cfg = SurfaceConfig(0, 1, 0)
         with pytest.raises(ValueError):
             ext1_rr(cfg, cfg.divisor(b=-1), cfg.divisor(b=2), -1)
+
+    def test_canonical_class_is_only_a_term(self):
+        # K = -2C0 + (-2^63 - 1)F is out of range, the dual class K + 3F is not
+        cfg = SurfaceConfig(0, 2**63 - 1, 0)
+        with pytest.raises(IntegerOverflowError, match="^F coefficient -9223372036854775809 "):
+            canonical_class(cfg)
+        value, (difference, dual) = ext1_rr(cfg, cfg.divisor(b=-1), cfg.divisor(b=2), 2)
+        assert value == 4
+        assert (difference.divisor, dual.divisor) == (cfg.divisor(b=-3), cfg.divisor(-2, 2 - 2**63))
+        assert reference_family_dims(1, invariant_e=2**63 - 1) == (5, 4, 3)
+        # a dual class out of range is still an error: -3C0 + (-2^63 - 1)F here
+        with pytest.raises(IntegerOverflowError, match="^F coefficient -9223372036854775809 "):
+            c1f1_report(cfg, beta=0, c2=0)
 
 
 class TestFamilyDimEvenFiber:

@@ -33,6 +33,7 @@ from ruledmoduli import (
     destabilizer_search,
     effectivity,
     euler_char,
+    ext1_rr,
     h0_hirzebruch,
     intersect,
     moduli_dim,
@@ -494,6 +495,22 @@ class TestValidationAndJson:
             DivisorClass(2**63, bad, (0,), cfg)
         with pytest.raises(TypeError, match="^C0 coefficient"):
             DivisorClass(bad, 2**63, (0,), cfg)
+
+    @pytest.mark.parametrize("bad", [0.5, 2.0, True, False, "1"])
+    def test_chern_length_and_box_data_must_be_ints(self, bad):
+        # c2 = 2.5 used to give moduli_dim 7.0, and a length of 0.5 an ext^1 of 0.5
+        cfg = SurfaceConfig(0, 1, 0)
+        f, pol = cfg.fiber(), Polarization(cfg.divisor(1, 10))
+        for call, name in [
+            (lambda: ChernData(f, bad), "c2"),
+            (lambda: ext1_rr(cfg, f, f, bad), "subscheme length"),
+            (lambda: destabilizer_search(cfg, -f, 2 * f, bad, pol, SearchBox(1, 1, 0)), "subscheme length"),
+            (lambda: SearchBox(bad, 1, 0), "box bound"),
+            (lambda: SearchBox(2, bad, 0), "box bound"),
+            (lambda: SearchBox(2, 1, bad), "box bound"),
+        ]:
+            with pytest.raises(TypeError, match=f"^{name} must be an int, got {re.escape(repr(bad))}$"):
+                call()
 
     def test_tracer_can_patch_the_constructor(self):
         # bench/tracer.py wraps both methods to count the classes built
