@@ -24,8 +24,8 @@ _EXPORTS = {
         "RuledModuliError", "SearchBoundsError", "UnsupportedSurfaceError",
     ),
     "lattice": (
-        "DivisorClass", "Effectivity", "EffectivityVerdict", "SurfaceConfig", "canonical_class",
-        "effectivity", "euler_char", "h0_hirzebruch", "intersect",
+        "DivisorClass", "Effectivity", "EffectivityVerdict", "Polarization", "SurfaceConfig",
+        "canonical_class", "effectivity", "euler_char", "h0_hirzebruch", "intersect",
     ),
     "invariants": (
         "ChernData", "ExtensionDatum", "ceil_div", "chern_twist", "is_extension_unique", "nagata_min_r",
@@ -33,8 +33,8 @@ _EXPORTS = {
         "subscheme_length_from_zeta", "zeta_class",
     ),
     "walls": (
-        "DvZeroCertificate", "Polarization", "Suitability", "WallClass", "WallSearch", "certify_dv_zero",
-        "hodge_xi", "is_suitable", "wall_search",
+        "DvZeroCertificate", "Suitability", "WallClass", "WallSearch", "certify_dv_zero", "hodge_xi",
+        "is_suitable", "wall_search",
     ),
     "families": (
         "Classification", "Dominance", "FamilyMaximizer", "FamilyReport", "Rationality", "ReferenceFamily",

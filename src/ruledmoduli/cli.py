@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from . import invariants
 from .errors import IntegerOverflowError, RuledModuliError, checked_int
-from .lattice import DivisorClass, SurfaceConfig, canonical_class, euler_char, intersect
+from .lattice import DivisorClass, Polarization, SurfaceConfig, canonical_class, euler_char, intersect
 from .invariants import ChernData, ExtensionDatum
 
 
@@ -186,7 +186,7 @@ def _boundary_notes(boundary) -> list[str]:
 def _walls(config, c1, c2, polarization):
     from . import walls
 
-    search = walls.wall_search(config, ChernData(c1, c2), walls.Polarization(polarization))
+    search = walls.wall_search(config, ChernData(c1, c2), Polarization(polarization))
     return {
         "walls": [_wall_doc(w) for w in search.walls],
         "boundary": [_wall_doc(w) for w in search.boundary],
@@ -197,7 +197,7 @@ def _walls(config, c1, c2, polarization):
 def _suitable(config, c1, c2, polarization):
     from . import walls
 
-    verdict = walls.is_suitable(config, ChernData(c1, c2), walls.Polarization(polarization))
+    verdict = walls.is_suitable(config, ChernData(c1, c2), Polarization(polarization))
     return {
         "suitable": verdict.suitable,
         "witness": _wall_doc(verdict.witness),
@@ -208,7 +208,7 @@ def _suitable(config, c1, c2, polarization):
 def _certify_dv0(config, c1, c2, polarization):
     from . import walls
 
-    certificate = walls.certify_dv_zero(config, ChernData(c1, c2), walls.Polarization(polarization))
+    certificate = walls.certify_dv_zero(config, ChernData(c1, c2), Polarization(polarization))
     return {
         "certified": certificate.certified,
         "d": certificate.d_value,
@@ -271,9 +271,9 @@ def _classify(config, c1, c2):
 
 
 def _stability(config, sub, quot, ell, polarization, box_a, box_b, box_exc):
-    from . import stability, walls
+    from . import stability
 
-    pol = walls.Polarization(polarization)
+    pol = Polarization(polarization)
     bounds = (box_a, box_b, box_exc)
     box = None
     if bounds != (None, None, None):

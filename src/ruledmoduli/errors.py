@@ -83,3 +83,9 @@ def checked_int(value: int, context: str = "value") -> int:
             f"{context} {value} exceeds the signed 64-bit range"
         )
     return value
+
+
+def checked_ints(**values: int) -> None:
+    """Pass each keyword argument through ``checked_int``, named by its keyword."""
+    for name, value in values.items():
+        checked_int(value, name)

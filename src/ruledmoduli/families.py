@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import AssumptionViolatedError, checked_int
+from .errors import AssumptionViolatedError, checked_int, checked_ints
 from .invariants import (
     ChernData,
     ExtensionDatum,
@@ -135,10 +135,11 @@ def family_dim_c1f0(
 
     which is ext^1 + 2g + 2*length - h0 after eliminating the length.
     """
+    checked_ints(genus=genus, eta=eta, m=m, n=n, eps=eps, r1=r1, h0=h0)
     ell = tuple(ell)
     if len(ell) != m:
         raise ValueError(f"expected {m} multiplicities, got {len(ell)}")
-    if any(li < 0 for li in ell):
+    if any(checked_int(li, "ell entry") < 0 for li in ell):
         raise ValueError(f"multiplicities must be >= 0, got {ell}")
     if h0 < 1:
         raise ValueError(f"h0 counts a nonzero section, must be >= 1, got {h0}")
@@ -158,6 +159,7 @@ def family_dim_c1f1(genus: int, e: int, beta: int, rho: int, c2: int) -> int:
     This equals ext^1 + 2g - 1 (two Jacobian factors minus the
     projectivization) and agrees with the expected moduli dimension.
     """
+    checked_ints(genus=genus, e=e, beta=beta, rho=rho, c2=c2)
     return checked_int(4 * c2 - 2 * beta + rho + 4 * genus - 3 + e, "family dimension")
 
 
@@ -180,6 +182,7 @@ def reference_family_dims(n: int, invariant_e: int = 1) -> ReferenceFamily:
     the last count using exact Hirzebruch sections minus the conditions a
     general length-2n subscheme imposes.
     """
+    checked_ints(n=n, invariant_e=invariant_e)
     if n < 1:
         raise ValueError(f"the family is indexed by n >= 1, got {n}")
     if invariant_e < 1:
@@ -216,6 +219,7 @@ def maximize_family_dim(
     grid: r0 is admissible and r0 - 1 is not, and moving r1, h0 or one ell_i
     off the argmax lowers the count by exactly 2, 1 and 1.
     """
+    checked_ints(genus=genus, eta=eta, m=m, n=n, eps=eps)
     if genus < 0:
         raise ValueError(f"genus must be >= 0, got {genus}")
     if m < 0 or n < 0 or eps not in (0, 1):

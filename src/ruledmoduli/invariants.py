@@ -22,7 +22,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .errors import NegativeLengthWarning, ParityError, checked_int
+from .errors import NegativeLengthWarning, ParityError, checked_int, checked_ints
 from .lattice import DivisorClass, SurfaceConfig, _require_same_config, pairing
 
 
@@ -69,12 +69,13 @@ class ExtensionDatum:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", tuple(self.q))
+        checked_ints(d=self.d, r=self.r)
         config = self.chern.config
         if len(self.q) != config.num_points:
             raise ValueError(
                 f"expected {config.num_points} multiplicities, got {len(self.q)}"
             )
-        if any(qi < 0 for qi in self.q):
+        if any(checked_int(qi, "q entry") < 0 for qi in self.q):
             raise ValueError(f"multiplicities must be >= 0, got {self.q}")
         if 2 * self.d < self.chern.c1.a:
             raise ValueError(

@@ -24,21 +24,24 @@ from .errors import (
     INT64_MAX,
     INT64_MIN,
     ConfigMismatchError,
+    InvalidPolarizationError,
     ParityError,
     UnsupportedSurfaceError,
     checked_int,
+    checked_ints,
 )
 
 
 @dataclass(frozen=True)
 class SurfaceConfig:
-    """The triple (genus, e, m) that fixes the surface and its lattice."""
+    """The triple (genus, e, m) of ints that fixes the surface and its lattice."""
 
     genus: int
     invariant_e: int
     num_points: int = 0
 
     def __post_init__(self) -> None:
+        checked_ints(genus=self.genus, invariant_e=self.invariant_e, num_points=self.num_points)
         if self.genus < 0:
             raise ValueError(f"genus must be >= 0, got {self.genus}")
         if self.num_points < 0:
@@ -251,6 +254,43 @@ def pairing(d1: DivisorClass, d2: DivisorClass) -> int:
 def intersect(d1: DivisorClass, d2: DivisorClass) -> int:
     """Symmetric bilinear intersection pairing of two divisor classes."""
     return checked_int(pairing(d1, d2), "intersection number")
+
+
+@dataclass(frozen=True)
+class Polarization:
+    """An ample candidate; construction rejects classes failing the checks.
+
+    ``checks`` records necessary positivity values for an ample class L:
+    L.L, L.F, L.C0 and, for each blown-up point, L.Ei and L.(F-Ei).  A class
+    failing any of them cannot be ample; passing all of them is a filter, not
+    an ampleness certificate.  The wall and stability searches read L's basis
+    pairings from here; it lives in ``lattice`` so that neither engine needs
+    the other.
+    """
+
+    cls: DivisorClass
+    checks: dict[str, int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        L, config = self.cls, self.cls.config
+        checks = {
+            "L.L": intersect(L, L),
+            "L.F": intersect(L, config.fiber()),
+            "L.C0": intersect(L, config.minimal_section()),
+        }
+        for i in range(1, config.num_points + 1):
+            checks[f"L.E{i}"] = intersect(L, config.exceptional(i))
+            checks[f"L.(F-E{i})"] = intersect(L, config.fiber_transform(i))
+        for name, value in checks.items():
+            if value <= 0:
+                raise InvalidPolarizationError(
+                    f"{name} = {value} must be positive for an ample class"
+                )
+        object.__setattr__(self, "checks", checks)
+
+    @property
+    def config(self) -> SurfaceConfig:
+        return self.cls.config
 
 
 def canonical_class(config: SurfaceConfig) -> DivisorClass:

@@ -22,13 +22,13 @@ from .lattice import (
     DivisorClass,
     Effectivity,
     EffectivityVerdict,
+    Polarization,
     SurfaceConfig,
     _h0_hirzebruch,
     _require_surface,
     effectivity,
     pairing,
 )
-from .walls import Polarization
 
 
 class StabilityOutcome(Enum):

@@ -18,74 +18,34 @@ and, for each (a, c), an explicit integer interval of admissible b.  Both
 bounds are rederived in the test suite against a brute-force scan.
 
 One private kernel, ``_slices``, walks the (a, c) slices of that region on
-plain integers and holds the only copy of these bounds.  ``wall_search``
-walks each slice's run of b and builds one wall per result, so it costs
-one pass over the slices plus one step per emitted class.  Each wall is
-two slotted objects, a ``WallClass`` and its ``zeta``, sharing its slice's
-exc tuple, and the walls are emitted in (a, b, exc) order without a sort.
+plain integers, holds the only copy of these bounds, and flags the slice
+whose last b is its boundary class (zeta.L = 0 happens nowhere else);
+``_boundary`` is the one place that builds that class.  ``wall_search``
+walks each run up to it and builds one wall per result, so it costs one
+pass over the slices plus one step per emitted class.  Each wall is two
+slotted objects, a ``WallClass`` and its ``zeta``, sharing its slice's exc
+tuple, and the walls are emitted in (a, b, exc) order, one a at a time.
 ``is_suitable`` and ``certify_dv_zero`` never walk a run: the first b of a
-slice decides whether the slice holds a separating wall, and its boundary
-class (zeta.L = 0) has a closed form, so a decision costs one pass over the
-slices.  On
-g=0, e=1, m=3, L=3C0+7F-sum Ei, c1=F+sum Ei, c2=80 that is 7,211 non-empty
-slices against 69,485 emitted classes.  The decision witness is the first
-separating wall in (a, b, exc) order, which is ``wall_search(...).walls[0]``,
-else the first boundary class.  ``max_candidates`` budgets every prefix of
-c the kernel visits (8,144 there) and, in ``wall_search``, every b it walks
-(69,485 more).
+slice decides whether it holds a separating wall, so a decision costs one
+pass over the slices.  On g=0, e=1, m=3, L=3C0+7F-sum Ei, c1=F+sum Ei,
+c2=80 that is 7,211 non-empty slices against 69,485 emitted classes.  The
+decision witness is the first separating wall in (a, b, exc) order, which
+is ``wall_search(...).walls[0]``, else the first boundary class.
+``max_candidates`` budgets every prefix of c the kernel visits (8,144
+there) and, in ``wall_search``, every b of each run (69,485 more).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import groupby
 from math import isqrt
+from operator import attrgetter, itemgetter
 
-from .errors import (
-    INT64_MAX,
-    INT64_MIN,
-    InvalidPolarizationError,
-    NotApplicableError,
-    SearchBoundsError,
-    checked_int,
-)
+from .errors import INT64_MAX, INT64_MIN, NotApplicableError, SearchBoundsError, checked_int
 from .invariants import ChernData, normalize_chern
-from .lattice import DivisorClass, SurfaceConfig, _require_surface, intersect, pairing
-
-
-@dataclass(frozen=True)
-class Polarization:
-    """An ample candidate; construction rejects classes failing the checks.
-
-    ``checks`` records necessary positivity values for an ample class L:
-    L.L, L.F, L.C0 and, for each blown-up point, L.Ei and L.(F-Ei).  A class
-    failing any of them cannot be ample; passing all of them is a filter, not
-    an ampleness certificate.  The searches read L's basis pairings from here.
-    """
-
-    cls: DivisorClass
-    checks: dict[str, int] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        L, config = self.cls, self.cls.config
-        checks = {
-            "L.L": intersect(L, L),
-            "L.F": intersect(L, config.fiber()),
-            "L.C0": intersect(L, config.minimal_section()),
-        }
-        for i in range(1, config.num_points + 1):
-            checks[f"L.E{i}"] = intersect(L, config.exceptional(i))
-            checks[f"L.(F-E{i})"] = intersect(L, config.fiber_transform(i))
-        for name, value in checks.items():
-            if value <= 0:
-                raise InvalidPolarizationError(
-                    f"{name} = {value} must be positive for an ample class"
-                )
-        object.__setattr__(self, "checks", checks)
-
-    @property
-    def config(self) -> SurfaceConfig:
-        return self.cls.config
+from .lattice import DivisorClass, Polarization, SurfaceConfig, _require_surface, intersect, pairing
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,12 +128,14 @@ class DvZeroCertificate:
 def _slices(config, chern, polarization, max_candidates, walk_runs):
     """Yield every non-empty (a, exc) slice of the Hodge-index region.
 
-    Each item is (a, exc, b, b_last, z_sq, ell, z_l): the walls of the slice
-    have F-coefficient b, b + 2, ..., b_last, and zeta^2, length and zeta.L
-    are given at the first of them.  Each step of 2 in b adds 4a to zeta^2,
-    a to the length and 2p to zeta.L (p = L.F), and every b of the run lies
-    in the wall window with zeta.L <= 0, so zeta.L = 0 can only happen at
-    b_last.  Slices come in increasing a and, for each a, in increasing
+    Each item is (a, exc, b, b_last, z_sq, ell, z_l, on_boundary): the walls
+    of the slice have F-coefficient b, b + 2, ..., b_last, and zeta^2,
+    length and zeta.L are given at the first of them.  Each step of 2 in b
+    adds 4a to zeta^2, a to the length and 2p to zeta.L (p = L.F), and every
+    b of the run lies in the wall window with zeta.L <= 0, so zeta.L = 0 can
+    only happen at b_last; ``on_boundary`` says whether it does, and then
+    the class at b_last is the slice's boundary class and the others
+    separate.  Slices come in increasing a and, for each a, in increasing
     lexicographic exc.  The run's extreme values are range-checked here, so
     callers may build its classes without checking each one.
 
@@ -240,7 +202,7 @@ def _slices(config, chern, polarization, max_candidates, walk_runs):
                         max_candidates, f"stuck at leading coefficient a = {a}"
                     )
             # length c2 + (zeta^2 - c1^2)/4, exact since zeta = c1 mod 2
-            yield a, exc, b, b_last, z_sq, (z_sq - window_low) // 4, z_l
+            yield a, exc, b, b_last, z_sq, (z_sq - window_low) // 4, z_l, z_l + p * (b_last - b) == 0
         a += 2
 
 
@@ -255,85 +217,72 @@ def wall_search(
 
     Deterministic: results are emitted in (a, b, exc) order.  The slices of
     one a come in exc order, so their walls are collected in one bucket per
-    b and the buckets are emptied in increasing b when a changes.  The cost
-    is one pass over the slices plus one step per emitted class, and each
-    class is two slotted objects, its ``WallClass`` and its ``zeta``, around
-    the exc tuple of its slice.  Raises SearchBoundsError with the
-    offending budget when the visited exc prefixes plus the walked b
-    candidates exceed ``max_candidates``, so callers can fall back to the
-    brute-force oracle.
+    b, emptied in increasing b, and their boundary classes are sorted by b.
+    A slice's run is walked up to the step before its boundary class, so no
+    walked wall is tested against L.  The cost is one pass over the slices
+    plus one step per emitted class, and each class is two slotted objects,
+    its ``WallClass`` and its ``zeta``, around the exc tuple of its slice.
+    Raises SearchBoundsError with the offending budget when the visited exc
+    prefixes plus the b candidates of the runs exceed ``max_candidates``, so
+    callers can fall back to the brute-force oracle.
     """
     p = polarization.cls.a
     new_class, new_wall = DivisorClass._unchecked, WallClass._unchecked
     walls: list[WallClass] = []
     boundary: list[WallClass] = []
-    walls_at: defaultdict[int, list[WallClass]] = defaultdict(list)  # b -> walls of this a
-    boundary_at: defaultdict[int, list[WallClass]] = defaultdict(list)
-    current = None
-    for a, exc, b, b_last, z_sq, ell, z_l in _slices(
-        config, chern, polarization, max_candidates, walk_runs=True
-    ):
-        if a != current:
-            _drain(walls_at, walls)
-            _drain(boundary_at, boundary)
-            current = a
-        while b <= b_last:
-            wall = new_wall(new_class(a, b, exc, config), z_sq, ell, a, z_l)
-            (walls_at if z_l else boundary_at)[b].append(wall)
-            b += 2
-            z_sq += 4 * a
-            ell += a
-            z_l += 2 * p
-    _drain(walls_at, walls)
-    _drain(boundary_at, boundary)
+    slices = _slices(config, chern, polarization, max_candidates, walk_runs=True)
+    for a, group in groupby(slices, itemgetter(0)):
+        walls_at: defaultdict[int, list[WallClass]] = defaultdict(list)  # b -> walls of this a
+        boundary_of_a: list[WallClass] = []
+        for _, exc, b, b_last, z_sq, ell, z_l, on_boundary in group:
+            if on_boundary:
+                boundary_of_a.append(_boundary(config, a, exc, b, b_last, z_sq, ell))
+                b_last -= 2
+            while b <= b_last:
+                walls_at[b].append(new_wall(new_class(a, b, exc, config), z_sq, ell, a, z_l))
+                b += 2
+                z_sq += 4 * a
+                ell += a
+                z_l += 2 * p
+        for b in sorted(walls_at):
+            walls += walls_at[b]
+        boundary += sorted(boundary_of_a, key=attrgetter("zeta.b"))
     return WallSearch(tuple(walls), tuple(boundary))
 
 
-def _drain(buckets: dict[int, list[WallClass]], out: list[WallClass]) -> None:
-    """Append one a's walls to ``out`` in (b, exc) order and empty the buckets.
-
-    Each bucket holds the walls of one b in the order their slices came,
-    which is exc order.
-    """
-    for b in sorted(buckets):
-        out += buckets[b]
-    buckets.clear()
+def _boundary(config, a, exc, b, b_last, z_sq, ell):
+    """The boundary class (zeta.L = 0) of a slice flagged by ``_slices``: the
+    class at b_last, with zeta^2 and length carried there in closed form."""
+    steps = (b_last - b) // 2
+    zeta = DivisorClass._unchecked(a, b_last, exc, config)
+    return WallClass._unchecked(zeta, z_sq + 4 * a * steps, ell + a * steps, a, 0)
 
 
 def _decide(config, chern, polarization, max_candidates):
     """(witness, boundary) of the decision queries, without walking any run.
 
-    The first class of a slice is a separating wall when its zeta.L < 0, and
-    its boundary class, if any, is at b_last, where zeta.L = 0 can only be.
-    The witness is the lexicographically smallest separating wall on
-    (a, b, exc), which is ``wall_search(...).walls[0]``, or else the first
-    boundary class; ``boundary`` is complete and in the enumeration's
-    order, collected in per-b buckets like it.  The budget counts the
-    visited exc prefixes only.
+    The first class of a slice is a separating wall when its zeta.L < 0.
+    The witness is taken in the first a with such a slice: the first of
+    those classes with the least b, which is ``wall_search(...).walls[0]``;
+    failing that, it is the first boundary class.  ``boundary`` is complete
+    and in the enumeration's order, built like it by ``_boundary`` and
+    sorted by b within each a.  The budget counts the visited exc prefixes
+    only.
     """
-    p = polarization.cls.a
-    new_class, new_wall = DivisorClass._unchecked, WallClass._unchecked
     witness = None
     boundary: list[WallClass] = []
-    boundary_at: defaultdict[int, list[WallClass]] = defaultdict(list)
-    current = None
-    for a, exc, b, b_last, z_sq, ell, z_l in _slices(
-        config, chern, polarization, max_candidates, walk_runs=False
-    ):
-        if a != current:
-            _drain(boundary_at, boundary)
-            current = a
-        # slices come in increasing a, so only the first a with a wall competes
-        if z_l < 0 and (
-            witness is None
-            or (witness.zF == a and (b, exc) < (witness.zeta.b, witness.zeta.exc))
-        ):
-            witness = new_wall(new_class(a, b, exc, config), z_sq, ell, a, z_l)
-        steps = (b_last - b) // 2
-        if z_l + 2 * p * steps == 0:
-            wall = new_wall(new_class(a, b_last, exc, config), z_sq + 4 * a * steps, ell + a * steps, a, 0)
-            boundary_at[b_last].append(wall)
-    _drain(boundary_at, boundary)
+    slices = _slices(config, chern, polarization, max_candidates, walk_runs=False)
+    for a, group in groupby(slices, itemgetter(0)):
+        first = None  # the separating wall of least b in this a, if none came before
+        boundary_of_a: list[WallClass] = []
+        for _, exc, b, b_last, z_sq, ell, z_l, on_boundary in group:
+            if z_l < 0 and witness is None and (first is None or b < first.zeta.b):
+                first = WallClass._unchecked(DivisorClass._unchecked(a, b, exc, config), z_sq, ell, a, z_l)
+            if on_boundary:
+                boundary_of_a.append(_boundary(config, a, exc, b, b_last, z_sq, ell))
+        if witness is None:
+            witness = first
+        boundary += sorted(boundary_of_a, key=attrgetter("zeta.b"))
     if witness is None and boundary:
         witness = boundary[0]
     return witness, tuple(boundary)

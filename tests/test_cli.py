@@ -276,6 +276,20 @@ class TestResultDocuments:
                     raised.add((path.name, name))
         assert raised == {(path, name) for name, path in gates.items()}
 
+    def test_engines_import_only_the_base_modules(self):
+        """walls, families and stability share no code with one another: each
+        imports only from errors, lattice and invariants."""
+        package = Path(ruledmoduli.__file__).parent
+        imported = set()
+        for engine in ("walls", "families", "stability"):
+            for node in ast.walk(ast.parse((package / f"{engine}.py").read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom) and node.level:  # from .x import y, from . import x
+                    names = [node.module] if node.module else [alias.name for alias in node.names]
+                    imported |= {(engine, name) for name in names}
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    assert "ruledmoduli" not in ast.unparse(node), f"{engine}: import the package relatively"
+        assert {name for _, name in imported} <= {"errors", "lattice", "invariants"}, sorted(imported)
+
     def test_family_report(self):
         doc, notes = _c1f1(0, 1, 0, 0, 4)
         assert set(doc) == {"family_dim", "moduli_dim", "ext1", "assumptions", "dominance"}

@@ -16,13 +16,14 @@ from conftest import (
 )
 from ruledmoduli.errors import INT64_MAX, INT64_MIN
 from ruledmoduli.cli import _divisor_doc, _parse
-from ruledmoduli.lattice import pairing
+from ruledmoduli.lattice import _canonical_term, pairing
 from ruledmoduli import (
     ChernData,
     ConfigMismatchError,
     DivisorClass,
     Effectivity,
     EffectivityVerdict,
+    ExtensionDatum,
     IntegerOverflowError,
     Polarization,
     SearchBox,
@@ -34,9 +35,13 @@ from ruledmoduli import (
     effectivity,
     euler_char,
     ext1_rr,
+    family_dim_c1f0,
+    family_dim_c1f1,
     h0_hirzebruch,
     intersect,
+    maximize_family_dim,
     moduli_dim,
+    reference_family_dims,
     subscheme_length_from_zeta,
     wall_search,
 )
@@ -293,14 +298,20 @@ class TestEulerChar:
         assert euler_char(cfg, cfg.divisor(b=-7)) == -6
 
     def test_closed_form_matches_the_canonical_class(self):
-        # wherever K is in range, chi = 1 - g + (D.D - D.K)/2 with D.K paired
-        # against canonical_class, on small classes and at the edge of e
+        # chi = 1 - g + (D.D - D.K)/2 with D.K paired against K, on small
+        # classes and at the edges of e: canonical_class wherever K is in
+        # range, else K's coordinates unchecked (g = 0 at e = 2^63 - 1); an e
+        # past the 64-bit range is refused by SurfaceConfig
         for genus in range(3):
             edge = 2 * genus - 2 - INT64_MIN  # the largest e with K in range
-            for e in (*range(0 if genus == 0 else -2, 4), edge - 1, edge):
+            for e in sorted({*range(0 if genus == 0 else -2, 4), edge - 1, edge, INT64_MAX}):
                 for m in range(3):
+                    if e > INT64_MAX:
+                        with pytest.raises(IntegerOverflowError, match="^invariant_e"):
+                            SurfaceConfig(genus, e, m)
+                        continue
                     cfg = SurfaceConfig(genus, e, m)
-                    k = canonical_class(cfg)
+                    k = canonical_class(cfg) if e <= edge else _canonical_term(cfg)
                     for a in range(-2, 3):
                         for b in range(-3, 4):
                             for exc in itertools.product(range(-1, 2), repeat=m):
@@ -508,9 +519,27 @@ class TestValidationAndJson:
             (lambda: SearchBox(bad, 1, 0), "box bound"),
             (lambda: SearchBox(2, bad, 0), "box bound"),
             (lambda: SearchBox(2, 1, bad), "box bound"),
+            (lambda: ExtensionDatum(1, 0, (bad,), ChernData(SurfaceConfig(0, 1, 1).fiber(), 1)), "q entry"),
+            (lambda: family_dim_c1f0(0, 0, 1, 1, 0, 0, (bad,), 1), "ell entry"),
         ]:
             with pytest.raises(TypeError, match=f"^{name} must be an int, got {re.escape(repr(bad))}$"):
                 call()
+        # the surface, the extension datum and the family counts gate each
+        # integer argument where it enters, under its own name; ungated, a
+        # bool passes as 0 or 1 and a float is refused only at a result
+        for entry_point, args, names in [
+            (SurfaceConfig, (0, 1, 0), ("genus", "invariant_e", "num_points")),
+            (lambda d, r: ExtensionDatum(d, r, (), ChernData(f, 1)), (1, 0), ("d", "r")),
+            (lambda genus, eta, m, n, eps, r1, h0: family_dim_c1f0(genus, eta, m, n, eps, r1, (), h0),
+             (0, 0, 0, 1, 0, 0, 1), ("genus", "eta", "m", "n", "eps", "r1", "h0")),
+            (family_dim_c1f1, (0, 1, 0, 0, 1), ("genus", "e", "beta", "rho", "c2")),
+            (maximize_family_dim, (0, 0, 0, 3, 0), ("genus", "eta", "m", "n", "eps")),
+            (reference_family_dims, (1, 1), ("n", "invariant_e")),
+        ]:
+            entry_point(*args)
+            for i, name in enumerate(names):
+                with pytest.raises(TypeError, match=f"^{name} must be an int, got {re.escape(repr(bad))}$"):
+                    entry_point(*args[:i], bad, *args[i + 1:])
 
     def test_tracer_can_patch_the_constructor(self):
         # bench/tracer.py wraps both methods to count the classes built

@@ -106,7 +106,7 @@ class TestLoadedModules:
         (["family-dim", "example", "--n", "3"], 0, {"families"}),
         (["stability", "--config", CONFIG_00, "--sub", '{"a":0,"b":-1,"exc":[]}', "--quot",
           '{"a":0,"b":2,"exc":[]}', "--ell", "1", "--polarization", '{"a":1,"b":1,"exc":[]}'],
-         0, {"walls", "stability"}),
+         0, {"stability"}),
     ], ids=["rr", "schema", "usage-error", "walls", "family-dim-example", "stability"])
     def test_subcommand_loads_only_its_engines(self, argv, exit_code, engines):
         code, loaded = fresh(CLI_CHILD, json.dumps(argv))
