@@ -309,6 +309,8 @@ def c1f0_report(
     """Assemble the even-fibre family report against the moduli count."""
     m = config.num_points
     ell = tuple(ell)
+    # first, so that its gate names the bad argument rather than a value built from it
+    family_dim = family_dim_c1f0(config.genus, eta, m, n, eps, r1, ell, h0)
     c2 = 2 * n + eps
     c1 = config.divisor(b=eta, exc=(1,) * m)
     chern = ChernData(c1, c2)
@@ -318,7 +320,7 @@ def c1f0_report(
     quot = config.divisor(b=eta - r1, exc=tuple(1 - li for li in ell))
     ext1, assumptions = ext1_rr(config, sub, quot, length)
     return FamilyReport(
-        family_dim=family_dim_c1f0(config.genus, eta, m, n, eps, r1, ell, h0),
+        family_dim=family_dim,
         moduli_dim=moduli_dim(config, chern),
         ext1=ext1,
         assumptions=assumptions,
@@ -328,13 +330,14 @@ def c1f0_report(
 def c1f1_report(config: SurfaceConfig, beta: int, c2: int) -> FamilyReport:
     """Assemble the odd-fibre family report against the moduli count."""
     m = config.num_points
+    family_dim = family_dim_c1f1(config.genus, config.invariant_e, beta, m, c2)  # gates beta, c2
     c1 = config.divisor(a=1, b=beta, exc=(1,) * m)
     chern = ChernData(c1, c2)
     sub = config.divisor(a=1, b=beta - c2)
     quot = config.divisor(b=c2, exc=(1,) * m)
     ext1, assumptions = ext1_rr(config, sub, quot, 0)
     return FamilyReport(
-        family_dim=family_dim_c1f1(config.genus, config.invariant_e, beta, m, c2),
+        family_dim=family_dim,
         moduli_dim=moduli_dim(config, chern),
         ext1=ext1,
         assumptions=assumptions,

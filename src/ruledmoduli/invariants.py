@@ -28,6 +28,7 @@ from .lattice import DivisorClass, SurfaceConfig, _require_same_config, pairing
 
 def ceil_div(num: int, den: int) -> int:
     """Exact ceiling division, rounding toward +infinity for any sign of num."""
+    checked_ints(num=num, den=den)
     if den <= 0:
         raise ValueError(f"denominator must be positive, got {den}")
     return -((-num) // den)
@@ -133,7 +134,8 @@ def r0_generic(genus: int, eta: int, c2: int) -> int:
     sub-line-bundles of the pushforward to the base curve; it satisfies
     eta - c2 - genus <= 2*r0 <= eta - c2 - genus + 1.
     """
-    return nagata_min_r(eta - c2, genus)
+    checked_ints(genus=genus, eta=eta, c2=c2)
+    return _least_r(eta - c2 - genus)
 
 
 def pushforward_degree_bound(
@@ -147,7 +149,8 @@ def pushforward_degree_bound(
     this inequality, with the quadratic correction contributed by
     multiplicities 2 and larger.
     """
-    if any(qi < 0 for qi in q):
+    checked_ints(r=r, beta=beta, genus=genus, c2=c2)
+    if any(checked_int(qi, "q entry") < 0 for qi in q):
         raise ValueError(f"multiplicities must be >= 0, got {tuple(q)}")
     correction = sum((1 - qi) ** 2 for qi in q if qi >= 2)
     return 2 * r >= beta - genus - c2 + correction
@@ -155,7 +158,14 @@ def pushforward_degree_bound(
 
 def nagata_min_r(pushforward_degree: int, genus: int) -> int:
     """Least r with 2r >= pushforward_degree - genus (Nagata's bound)."""
-    return checked_int(ceil_div(pushforward_degree - genus, 2), "section degree")
+    checked_ints(pushforward_degree=pushforward_degree, genus=genus)
+    return _least_r(pushforward_degree - genus)
+
+
+def _least_r(bound: int) -> int:
+    """Least r with 2r >= bound.  The bound, a difference of checked ints,
+    may leave the 64-bit range; only r is range-checked."""
+    return checked_int(-(-bound // 2), "section degree")
 
 
 def chern_twist(chern: ChernData, t: DivisorClass) -> ChernData:

@@ -128,7 +128,7 @@ def destabilizer_search(
     if box is None:
         box = default_box(sub, quot)
     m = config.num_points
-    if box.volume(m) > max_candidates:
+    if box.volume(m) > checked_int(max_candidates, "max_candidates"):
         raise BoxTooLargeError(f"box volume {box.volume(m)} exceeds the cap of {max_candidates}")
 
     _require_surface(config, polarization.config, "polarization")

@@ -32,7 +32,11 @@ c2=80 that is 7,211 non-empty slices against 69,485 emitted classes.  The
 decision witness is the first separating wall in (a, b, exc) order, which
 is ``wall_search(...).walls[0]``, else the first boundary class.
 ``max_candidates`` budgets every prefix of c the kernel visits (8,144
-there) and, in ``wall_search``, every b of each run (69,485 more).
+there) and, in ``wall_search``, every b of each run (69,485 more).  The
+kernel walks the last coefficient of c as a range and range-checks only
+what can leave the 64-bit range: once per a, the bound a + isqrt(disc) + 1
+on a and every c_i; per slice, the ends of its run of b and zeta.L at the
+first b.  zeta^2 and the length lie in the window, so never need a check.
 """
 
 from __future__ import annotations
@@ -136,73 +140,96 @@ def _slices(config, chern, polarization, max_candidates, walk_runs):
     only happen at b_last; ``on_boundary`` says whether it does, and then
     the class at b_last is the slice's boundary class and the others
     separate.  Slices come in increasing a and, for each a, in increasing
-    lexicographic exc.  The run's extreme values are range-checked here, so
-    callers may build its classes without checking each one.
+    lexicographic exc.  The run's values are range-checked here, so callers
+    may build its classes without checking each one.
 
-    The budget counts every exc prefix the depth-first search visits (the
-    empty prefix and each full vector included) and, with ``walk_runs``,
-    every b of each run.
+    Prefixes shorter than m - 1 go through a depth-first stack; a prefix of
+    length m - 1 is expanded in place into its slices, one range of the last
+    coefficient (for m = 0 the empty prefix is the slice).  The budget counts
+    every exc prefix visited (the empty prefix and each full vector
+    included), each charged before its work, and, with ``walk_runs``, every
+    b of each run.
+
+    Only values that can leave the 64-bit range are checked.  Each layer
+    checks a + isqrt(disc) + 1, which bounds a and every c_i of the layer:
+    |p*c_i - a*r_i| <= p*sqrt(disc), and the polarization's checks
+    L.E_i > 0 and L.(F - E_i) > 0 give -p < r_i < 0.  Each slice checks
+    b >= INT64_MIN, b_last <= INT64_MAX and zeta.L >= INT64_MIN at the
+    first b (zeta.L rises to at most 0 along the run).  zeta^2 lies in
+    [c1^2 - 4*c2, 0) and the length in [0, disc/4], inside the range since
+    the discriminant is.  Unlike a check of each slice's values alone, the
+    layer check can fire in a layer with no non-empty slice; that needs a
+    near 2^63, so about 2^62 budget units.
     """
+    left = checked_int(max_candidates, "max_candidates")
     _require_surface(config, chern.config, "Chern data")
     _require_surface(config, polarization.config, "polarization")
 
-    disc = chern.discriminant
+    disc = chern.discriminant  # c1^2 - 4*c2 = -disc
     if disc <= 0:
         return
 
-    c1 = chern.c1
-    window_low = -disc  # c1^2 - 4*c2
+    c1b, c1_exc = chern.c1.b, chern.c1.exc
     e = config.invariant_e
     L = polarization.cls
     p, lb, l_exc = L.a, L.b, L.exc
     m = len(l_exc)
     l_sq = polarization.checks["L.L"]
     reach = p * p * disc
-    parities = tuple(g % 2 for g in c1.exc)
-    left = max_candidates
+    root = isqrt(disc) + 1  # |c_i| < root + a on layer a
 
-    a = 1 if c1.a % 2 else 2
+    a = 1 if chern.c1.a % 2 else 2
     while a * a * l_sq <= reach:
+        context = f"a wall coordinate or pairing at a = {a}"
+        if a + root > INT64_MAX:
+            checked_int(a + root, context)
+        ea2, ka, two_a = e * a * a, e * a * p - a * lb, 2 * a
         # sum((p*c_i - a*r_i)^2) <= reach - a^2 * L^2, one coordinate at a
         # time; children are pushed largest c first so the smallest pops first
         stack = [((), 0, 0, reach - a * a * l_sq)]
         while stack:
             exc, sum_c2, sum_cr, room = stack.pop()
-            left -= 1
-            if left < 0:
-                raise SearchBoundsError(max_candidates, f"stuck at leading coefficient a = {a}")
             i = len(exc)
-            if i < m:
+            if i == m:  # m = 0: the empty prefix is the slice
+                cs, r = (0,), 0
+            else:
+                left -= 1
+                if left < 0:
+                    raise SearchBoundsError(max_candidates, f"stuck at leading coefficient a = {a}")
                 r, t = l_exc[i], isqrt(room)
                 c_lo = -((t - a * r) // p)  # ceil((a*r - t) / p)
-                c = (a * r + t) // p
-                c -= (c - parities[i]) % 2
-                while c >= c_lo:
-                    used = (p * c - a * r) ** 2  # <= t^2 <= room
-                    stack.append(((*exc, c), sum_c2 + c * c, sum_cr + c * r, room - used))
-                    c -= 2
-                continue
-            x = e * a * a + sum_c2  # zeta^2 = 2ab - x
-            k = e * a * p - a * lb + sum_cr  # zeta.L = pb - k
-            b = -((-window_low - x) // (2 * a))  # zeta^2 >= c1^2 - 4c2
-            b += (c1.b - b) % 2
-            b_hi = min((x - 1) // (2 * a), k // p)  # zeta^2 < 0, zeta.L <= 0
-            if b > b_hi:
-                continue
-            b_last = b_hi - (b_hi - b) % 2
-            z_sq, z_l = 2 * a * b - x, p * b - k
-            lo, hi = min(b, z_sq, z_l, *exc), max(a, b_last, *exc)
-            if lo < INT64_MIN or hi > INT64_MAX:
-                for value in (lo, hi):
-                    checked_int(value, f"a wall coordinate or pairing at a = {a}")
-            if walk_runs:
-                left -= (b_last - b) // 2 + 1
+                cs = range(c_lo + (c_lo - c1_exc[i]) % 2, (a * r + t) // p + 1, 2)
+                if i + 1 < m:
+                    # (p*c - a*r)^2 <= t^2 <= room
+                    stack += [((*exc, c), sum_c2 + c * c, sum_cr + c * r, room - (p * c - a * r) ** 2)
+                              for c in reversed(cs)]
+                    continue
+            x0, k0 = ea2 + sum_c2, ka + sum_cr
+            for c in cs:  # the slices of this prefix, each charged before its work
+                left -= 1
                 if left < 0:
-                    raise SearchBoundsError(
-                        max_candidates, f"stuck at leading coefficient a = {a}"
-                    )
-            # length c2 + (zeta^2 - c1^2)/4, exact since zeta = c1 mod 2
-            yield a, exc, b, b_last, z_sq, (z_sq - window_low) // 4, z_l, z_l + p * (b_last - b) == 0
+                    raise SearchBoundsError(max_candidates, f"stuck at leading coefficient a = {a}")
+                x = x0 + c * c  # zeta^2 = 2ab - x
+                k = k0 + c * r  # zeta.L = pb - k
+                b = -((disc - x) // two_a)  # zeta^2 >= c1^2 - 4c2
+                b += (c1b - b) % 2
+                b_hi = (x - 1) // two_a  # zeta^2 < 0
+                if k // p < b_hi:  # zeta.L <= 0
+                    b_hi = k // p
+                if b > b_hi:
+                    continue
+                b_last = b_hi - (b_hi - b) % 2
+                z_sq, z_l = two_a * b - x, p * b - k
+                if not (INT64_MIN <= b <= b_last <= INT64_MAX and z_l >= INT64_MIN):
+                    for value in (min(b, z_l), b_last):
+                        checked_int(value, context)
+                if walk_runs:
+                    left -= (b_last - b) // 2 + 1
+                    if left < 0:
+                        raise SearchBoundsError(max_candidates, f"stuck at leading coefficient a = {a}")
+                # length c2 + (zeta^2 - c1^2)/4, exact since zeta = c1 mod 2
+                exc_c = (*exc, c) if m else exc
+                yield a, exc_c, b, b_last, z_sq, (z_sq + disc) // 4, z_l, z_l + p * (b_last - b) == 0
         a += 2
 
 

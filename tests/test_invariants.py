@@ -150,10 +150,13 @@ class TestR0:
         # every argument is in range, the answer -3*2^62 + 1 is not
         with pytest.raises(IntegerOverflowError, match="section degree -13835058055282163711"):
             r0_generic(2**63 - 1, -(2**63), 2**63 - 1)
-        # r0_generic passes eta - c2, which may leave the range, to nagata_min_r
-        assert nagata_min_r(-(2**64), 0) == -(2**63)
+        # eta - c2 - genus may leave the range; only the section degree is checked
+        assert r0_generic(1, -(2**63), 2**63 - 1) == -(2**63)
         with pytest.raises(IntegerOverflowError, match="section degree"):
-            nagata_min_r(-(2**64) - 2, 0)
+            r0_generic(3, -(2**63), 2**63 - 1)
+        # nagata_min_r range-checks its arguments where they enter
+        with pytest.raises(IntegerOverflowError, match="^pushforward_degree -18446744073709551616 "):
+            nagata_min_r(-(2**64), 0)
 
     @given(st.integers(0, 6), st.integers(-3, 3), st.integers(-10, 40))
     def test_bracket(self, genus, eta, c2):

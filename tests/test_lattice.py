@@ -29,7 +29,11 @@ from ruledmoduli import (
     SearchBox,
     SurfaceConfig,
     UnsupportedSurfaceError,
+    c1f0_report,
+    c1f1_report,
     canonical_class,
+    ceil_div,
+    certify_dv_zero,
     classify_structure,
     destabilizer_search,
     effectivity,
@@ -39,8 +43,12 @@ from ruledmoduli import (
     family_dim_c1f1,
     h0_hirzebruch,
     intersect,
+    is_suitable,
     maximize_family_dim,
     moduli_dim,
+    nagata_min_r,
+    pushforward_degree_bound,
+    r0_generic,
     reference_family_dims,
     subscheme_length_from_zeta,
     wall_search,
@@ -535,6 +543,18 @@ class TestValidationAndJson:
             (family_dim_c1f1, (0, 1, 0, 0, 1), ("genus", "e", "beta", "rho", "c2")),
             (maximize_family_dim, (0, 0, 0, 3, 0), ("genus", "eta", "m", "n", "eps")),
             (reference_family_dims, (1, 1), ("n", "invariant_e")),
+            (lambda eta, n, eps, r1, h0: c1f0_report(cfg, eta, n, eps, r1, (), h0),
+             (1, 1, 0, 0, 1), ("eta", "n", "eps", "r1", "h0")),
+            (lambda beta, c2: c1f1_report(cfg, beta, c2), (0, 1), ("beta", "c2")),
+            (ceil_div, (7, 2), ("num", "den")),
+            (r0_generic, (0, 1, 2), ("genus", "eta", "c2")),
+            (nagata_min_r, (5, 2), ("pushforward_degree", "genus")),
+            (lambda r, beta, genus, c2, qi: pushforward_degree_bound(r, beta, genus, c2, (qi,)),
+             (0, 0, 0, 0, 1), ("r", "beta", "genus", "c2", "q entry")),
+            *[(lambda n, query=query: query(cfg, ChernData(f, 2), pol, max_candidates=n),
+               (100,), ("max_candidates",)) for query in (wall_search, is_suitable, certify_dv_zero)],
+            (lambda n: destabilizer_search(cfg, -f, 2 * f, 0, pol, SearchBox(1, 1, 0), max_candidates=n),
+             (100,), ("max_candidates",)),
         ]:
             entry_point(*args)
             for i, name in enumerate(names):

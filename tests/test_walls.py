@@ -1,5 +1,6 @@
 import random
 from dataclasses import FrozenInstanceError
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given
@@ -31,6 +32,7 @@ from ruledmoduli import (
     subscheme_length_from_zeta,
     wall_search,
 )
+from ruledmoduli.walls import _slices
 
 
 @st.composite
@@ -180,6 +182,13 @@ class TestEnumeration:
                 query(cfg, chern, Polarization(cfg.divisor(3, 1)), max_candidates=0)
             assert info.value.budget == 0
 
+    def test_budget_must_lie_in_the_64_bit_range(self, quadric):
+        # an unchecked budget of 10^30 used to run as if it were finite
+        cfg, chern = quadric
+        for query in (wall_search, is_suitable, certify_dv_zero):
+            with pytest.raises(IntegerOverflowError, match="^max_candidates 9223372036854775808 "):
+                query(cfg, chern, Polarization(cfg.divisor(3, 1)), max_candidates=2**63)
+
     @pytest.mark.parametrize(
         "query, budget, passes",
         [
@@ -203,6 +212,34 @@ class TestEnumeration:
             with pytest.raises(SearchBoundsError) as info:
                 query(cfg, chern, pol, max_candidates=budget)
             assert info.value.budget == budget
+
+    @pytest.mark.parametrize(
+        "m, c1, l_class, least",
+        [
+            # m = 0: the empty prefix of each of 3 layers is the slice;
+            # 13 walls + 1 boundary class walked
+            (0, (0, 0, ()), (3, 4, ()), (3, 3, 17)),
+            # m = 1: 15 prefixes; 54 walls + 4 boundary classes walked
+            (1, (0, 1, (1,)), (3, 7, (-1,)), (15, 15, 73)),
+        ],
+    )
+    def test_least_passing_budget_for_few_exceptional_curves(self, m, c1, l_class, least):
+        cfg = SurfaceConfig(0, 1, m)
+        chern, pol = ChernData(cfg.divisor(*c1), 20), Polarization(cfg.divisor(*l_class))
+        for query, budget in zip((is_suitable, certify_dv_zero, wall_search), least):
+            query(cfg, chern, pol, max_candidates=budget)
+            with pytest.raises(SearchBoundsError) as info:
+                query(cfg, chern, pol, max_candidates=budget - 1)
+            assert info.value.budget == budget - 1
+
+    @given(wall_inputs())
+    def test_slice_coefficients_lie_within_the_layer_bound(self, data):
+        # |p*c_i - a*r_i| <= p*sqrt(disc) and -p < r_i < 0 give
+        # |c_i| < isqrt(disc) + 1 + a, the bound each layer is checked against
+        cfg, chern, pol = data
+        bound = isqrt(chern.discriminant) + 1 if chern.discriminant > 0 else 0
+        for a, exc, *_ in _slices(cfg, chern, pol, 2_000_000, walk_runs=False):
+            assert all(abs(c) < bound + a for c in exc)
 
     def test_rejects_data_on_another_surface(self, quadric):
         cfg, chern = quadric
