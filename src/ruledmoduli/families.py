@@ -24,9 +24,9 @@ from .invariants import (
 )
 from .lattice import (
     DivisorClass,
-    EffectivityVerdict,
     SurfaceConfig,
     _canonical_term,
+    _least_effective_b,
     _require_surface,
     effectivity,
     euler_char,
@@ -91,26 +91,27 @@ def ext1_rr(
     """dim Ext^1(I_Z(quot), O(sub)) = -chi(sub - quot) + ell under vanishing.
 
     Valid when h^0(O(sub - quot)) = 0 and h^0(O(K + quot - sub) tensor I_Z)
-    vanishes; both classes are returned as first-class assumptions, screened
-    against the effectivity semi-decision.  A certified-effective assumption
-    class falsifies the formula and raises AssumptionViolatedError.  K is a
-    term, so only the two assumption classes are range-checked.
+    vanishes; both classes are returned as first-class assumptions.  Either
+    class, the difference first, passing the closed-form EFFECTIVE rule
+    falsifies the formula and raises AssumptionViolatedError, whose witness
+    is the only ``Effectivity`` built.  K is a term, so only the two
+    assumption classes are range-checked.
     """
     if checked_int(ell, "subscheme length") < 0:
         raise ValueError(f"subscheme length must be >= 0, got {ell}")
     difference = sub - quot
     dual_class = _canonical_term(config) - difference
+    for cls in (difference, dual_class):
+        need = _least_effective_b(cls.a, cls.exc)
+        if need is not None and cls.b >= need:
+            raise AssumptionViolatedError(
+                f"vanishing assumed for {cls}, but the class is certified "
+                f"effective with witness {effectivity(cls).decomposition}"
+            )
     assumptions = (
         VanishingAssumption(difference),
         VanishingAssumption(dual_class, twisted_by_ideal=True),
     )
-    for assumption in assumptions:
-        verdict = effectivity(assumption.divisor)
-        if verdict.verdict is EffectivityVerdict.EFFECTIVE:
-            raise AssumptionViolatedError(
-                f"vanishing assumed for {assumption.divisor}, but the class is "
-                f"certified effective with witness {verdict.decomposition}"
-            )
     value = checked_int(-euler_char(config, difference) + ell, "ext^1 dimension")
     return value, assumptions
 

@@ -327,21 +327,29 @@ def euler_char(config: SurfaceConfig, d: DivisorClass) -> int:
     return checked_int((1 - config.genus) + d_dk // 2, "Euler characteristic")
 
 
+def _least_effective_b(a: int, exc: tuple[int, ...]) -> int | None:
+    """Least b with a*C0 + b*F + sum(ci*Ei) in the cone of {C0, F, Ei, F-Ei}:
+    sum(max(0, -ci)), or None when a < 0 and no b is.  Exact, unchecked."""
+    if a < 0:
+        return None
+    return (sum(map(abs, exc)) - sum(exc)) // 2
+
+
 def effectivity(d: DivisorClass) -> Effectivity:
     """Sound semi-decision for effectivity of a divisor class.
 
     EFFECTIVE when d is a nonnegative integer combination of the honestly
     effective classes {C0, F, Ei, F-Ei}; the cone these span is simplicial
-    enough that membership has a closed form: a >= 0 and
-    b >= sum(max(0, -ci)).  NOT_EFFECTIVE when d.F < 0, or, for genus 0,
-    when the pushforward a*C0 + b*F to the minimal model fails a >= 0 or
-    b >= 0 (the effective cone of a Hirzebruch surface).  Everything else is
-    UNKNOWN: the full effective cone of a general-point blowup is not known,
-    so soundness wins over completeness.
+    enough that membership has a closed form, ``_least_effective_b``, and
+    the witness takes the F coefficient b minus that least b.  NOT_EFFECTIVE
+    when d.F < 0, or, for genus 0, when the pushforward a*C0 + b*F to the
+    minimal model fails a >= 0 or b >= 0 (the effective cone of a Hirzebruch
+    surface).  Everything else is UNKNOWN: the full effective cone of a
+    general-point blowup is not known, so soundness wins over completeness.
     """
     fiber_degree = d.a  # d.F with the mixed products zero
-    need = (sum(map(abs, d.exc)) - sum(d.exc)) // 2  # sum of max(0, -ci)
-    if d.a >= 0 and d.b - need >= 0:
+    need = _least_effective_b(d.a, d.exc)
+    if need is not None and d.b >= need:
         decomposition: dict[str, int] = {}
         if d.a:
             decomposition["C0"] = d.a

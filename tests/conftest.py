@@ -17,6 +17,7 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, settings
 
 from ruledmoduli import ChernData, DivisorClass, Polarization, SurfaceConfig
+from ruledmoduli.errors import INT64_MAX, INT64_MIN
 
 settings.register_profile(
     "suite",
@@ -40,6 +41,14 @@ def configs(max_genus: int = 3, max_e: int = 4, max_points: int = 3):
         st.integers(-2, max_e),
         st.integers(0, max_points),
     )
+
+
+# coordinates small, anywhere in the 64-bit range, or at its edges
+EDGE_INTS = st.one_of(
+    st.integers(-3, 3),
+    st.integers(INT64_MIN, INT64_MAX),
+    st.sampled_from([INT64_MIN, INT64_MIN + 1, INT64_MAX - 1, INT64_MAX]),
+)
 
 
 @st.composite

@@ -1,8 +1,12 @@
+import re
+
 import pytest
 from hypothesis import assume, given
 import hypothesis.strategies as st
 
-from conftest import config_with_divisors
+import ruledmoduli.families
+from conftest import EDGE_INTS, config_with_divisors, configs
+from ruledmoduli.lattice import _canonical_term, _least_effective_b
 from ruledmoduli import (
     AssumptionViolatedError,
     ChernData,
@@ -18,6 +22,7 @@ from ruledmoduli import (
     canonical_class,
     chern_twist,
     classify_structure,
+    effectivity,
     ext1_rr,
     family_dim_c1f0,
     family_dim_c1f1,
@@ -90,9 +95,71 @@ class TestExt1:
         assert values == [4 * n for n in range(1, 9)]
 
     def test_effective_assumption_class_is_rejected(self):
+        # the difference slot: sub - quot = 0 on F_1
         cfg = SurfaceConfig(0, 1, 0)
-        with pytest.raises(AssumptionViolatedError):
+        with pytest.raises(AssumptionViolatedError, match=re.escape(
+            "vanishing assumed for 0, but the class is certified effective with witness {}"
+        )):
             ext1_rr(cfg, cfg.divisor(b=2), cfg.divisor(b=2), 0)
+        # the dual slot: K - (sub - quot) = F on F_0, although h^0(I_Z(F)) = 0
+        # for a general Z of length 3 (ROADMAP item 9)
+        cfg = SurfaceConfig(0, 0, 0)
+        with pytest.raises(AssumptionViolatedError, match=re.escape(
+            "vanishing assumed for F, but the class is certified effective with witness {'F': 1}"
+        )):
+            ext1_rr(cfg, cfg.zero(), cfg.divisor(2, 3), 3)
+
+    @given(configs(max_genus=2), st.data())
+    def test_raises_exactly_when_an_assumption_class_passes_the_rule(self, cfg, data):
+        m = cfg.num_points
+        sub = cfg.divisor(data.draw(EDGE_INTS), data.draw(EDGE_INTS), [data.draw(EDGE_INTS) for _ in range(m)])
+        quot = cfg.divisor(data.draw(EDGE_INTS), data.draw(EDGE_INTS), [data.draw(EDGE_INTS) for _ in range(m)])
+        try:
+            difference = sub - quot
+            dual = _canonical_term(cfg) - difference
+        except IntegerOverflowError:
+            assume(False)
+        passing = [
+            cls for cls in (difference, dual)
+            if _least_effective_b(cls.a, cls.exc) is not None
+            and cls.b >= _least_effective_b(cls.a, cls.exc)
+        ]
+        if passing:
+            with pytest.raises(AssumptionViolatedError, match=f"^vanishing assumed for {re.escape(str(passing[0]))}, but"):
+                ext1_rr(cfg, sub, quot, 1)
+        else:
+            try:
+                ext1_rr(cfg, sub, quot, 1)
+            except IntegerOverflowError as err:  # the answer, not a screen
+                assert "Euler characteristic" in str(err) or "ext^1 dimension" in str(err)
+
+    def test_effectivity_is_built_only_for_a_witness(self, monkeypatch):
+        calls = []
+
+        def counted(d):
+            calls.append(d)
+            return effectivity(d)
+
+        monkeypatch.setattr(ruledmoduli.families, "effectivity", counted)
+        f2, f0m1, g1m3 = SurfaceConfig(0, 2, 0), SurfaceConfig(0, 0, 1), SurfaceConfig(1, 2, 3)
+        # neither vanishing class is certified effective
+        ext1_rr(f2, f2.divisor(b=-3), f2.divisor(b=4), 6)
+        c1f0_report(f0m1, eta=0, n=3, eps=0, r1=-3, ell=(0,), h0=1)
+        c1f1_report(g1m3, beta=1, c2=5)
+        reference_family_dims(2)
+        assert calls == []
+        f1, f0 = SurfaceConfig(0, 1, 0), SurfaceConfig(0, 0, 0)
+        raising = [
+            lambda: ext1_rr(f1, f1.divisor(b=2), f1.divisor(b=2), 0),
+            lambda: ext1_rr(f0, f0.zero(), f0.divisor(2, 3), 3),
+            lambda: c1f0_report(f1, eta=0, n=1, eps=0, r1=1, ell=(), h0=1),
+            lambda: c1f1_report(f1, beta=4, c2=1),
+        ]
+        for call in raising:
+            calls.clear()
+            with pytest.raises(AssumptionViolatedError):
+                call()
+            assert len(calls) == 1
 
     def test_rejects_negative_length(self):
         cfg = SurfaceConfig(0, 1, 0)

@@ -8,6 +8,7 @@ from hypothesis import example, given
 import hypothesis.strategies as st
 
 from conftest import (
+    EDGE_INTS,
     brute_effective_decomposition,
     config_with_divisors,
     configs,
@@ -16,7 +17,7 @@ from conftest import (
 )
 from ruledmoduli.errors import INT64_MAX, INT64_MIN
 from ruledmoduli.cli import _divisor_doc, _parse
-from ruledmoduli.lattice import _canonical_term, pairing
+from ruledmoduli.lattice import _canonical_term, _least_effective_b, pairing
 from ruledmoduli import (
     ChernData,
     ConfigMismatchError,
@@ -377,6 +378,20 @@ class TestEffectivity:
         assert effectivity(-cfg.fiber() + cfg.minimal_section() * 0).verdict is (
             EffectivityVerdict.UNKNOWN
         )
+
+    @given(configs(max_genus=2), st.data())
+    def test_closed_form_rule_decides_the_effective_verdict(self, cfg, data):
+        a = data.draw(EDGE_INTS)
+        exc = tuple(data.draw(EDGE_INTS) for _ in range(cfg.num_points))
+        least = _least_effective_b(a, exc)
+        # b at the least effective b, one either side of it, or anywhere
+        near = [min(INT64_MAX, max(INT64_MIN, (least or 0) + k)) for k in (-1, 0, 1)]
+        b = data.draw(st.sampled_from(near) | EDGE_INTS)
+        verdict = effectivity(cfg.divisor(a, b, exc))
+        passes = least is not None and b >= least
+        assert passes == (verdict.verdict is EffectivityVerdict.EFFECTIVE)
+        if passes:
+            assert verdict.decomposition.get("F", 0) == b - least
 
     @given(config_with_divisors(lo=-3, hi=3))
     def test_matches_brute_force_cone_membership(self, data):
