@@ -111,21 +111,23 @@ class TestExt1:
 
     @given(configs(max_genus=2), st.data())
     def test_raises_exactly_when_an_assumption_class_passes_the_rule(self, cfg, data):
-        m = cfg.num_points
-        sub = cfg.divisor(data.draw(EDGE_INTS), data.draw(EDGE_INTS), [data.draw(EDGE_INTS) for _ in range(m)])
-        quot = cfg.divisor(data.draw(EDGE_INTS), data.draw(EDGE_INTS), [data.draw(EDGE_INTS) for _ in range(m)])
+        def draw_class():
+            coords = [data.draw(EDGE_INTS) for _ in range(cfg.rank)]
+            return cfg.divisor(coords[0], coords[1], coords[2:])
+
+        sub, quot = draw_class(), draw_class()
         try:
             difference = sub - quot
             dual = _canonical_term(cfg) - difference
         except IntegerOverflowError:
             assume(False)
+        least = [_least_effective_b(cls.a, cls.exc) for cls in (difference, dual)]
         passing = [
-            cls for cls in (difference, dual)
-            if _least_effective_b(cls.a, cls.exc) is not None
-            and cls.b >= _least_effective_b(cls.a, cls.exc)
+            cls for cls, b in zip((difference, dual), least) if b is not None and cls.b >= b
         ]
         if passing:
-            with pytest.raises(AssumptionViolatedError, match=f"^vanishing assumed for {re.escape(str(passing[0]))}, but"):
+            first = re.escape(str(passing[0]))
+            with pytest.raises(AssumptionViolatedError, match=f"^vanishing assumed for {first}, but"):
                 ext1_rr(cfg, sub, quot, 1)
         else:
             try:
