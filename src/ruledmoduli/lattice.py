@@ -146,8 +146,9 @@ class DivisorClass:
         return DivisorClass._checked(-self.a, -self.b, tuple(map(neg, self.exc)), self.config)
 
     def __mul__(self, scalar: int):
-        if not isinstance(scalar, int):
+        if type(scalar) is not int:  # a bool is refused, as by errors.checked_int
             return NotImplemented
+        checked_int(scalar, "scalar")
         exc = tuple(map(mul, repeat(scalar), self.exc))
         return DivisorClass._checked(scalar * self.a, scalar * self.b, exc, self.config)
 

@@ -37,10 +37,23 @@ kernel walks the last coefficient of c as a range and range-checks only
 what can leave the 64-bit range: once per a, the bound a + isqrt(disc) + 1
 on a and every c_i; per slice, the ends of its run of b and zeta.L at the
 first b.  zeta^2 and the length lie in the window, so never need a check.
+
+``wall_search`` builds its result with the cyclic garbage collector paused
+and afterwards restores the state it found (enabled or not); this is the
+only place the package touches ``gc``.  The pause is sound because the build
+makes only acyclic objects: each ``WallClass`` holds its ``zeta`` and ints,
+each ``zeta`` holds ints, its slice's exc tuple and the ``SurfaceConfig``,
+so a cyclic collection during the build could free nothing it made.  A
+running collector would walk the growing result about two hundred times per
+search at the anchor's c2=80, and each full collection the caller's whole
+heap too, so a search's cost would grow with the results the caller keeps.
+The caller's next young-generation collection makes one pass over the new
+walls.
 """
 
 from __future__ import annotations
 
+import gc
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import groupby
@@ -252,29 +265,40 @@ def wall_search(
     Raises SearchBoundsError with the offending budget when the visited exc
     prefixes plus the b candidates of the runs exceed ``max_candidates``, so
     callers can fall back to the brute-force oracle.
+
+    The cyclic garbage collector is paused for the build, which makes only
+    acyclic objects, and its state on entry is restored on return or raise,
+    so the call's cost does not depend on how large the caller's heap is.
     """
     p = polarization.cls.a
     new_class, new_wall = DivisorClass._unchecked, WallClass._unchecked
     walls: list[WallClass] = []
     boundary: list[WallClass] = []
-    slices = _slices(config, chern, polarization, max_candidates, walk_runs=True)
-    for a, group in groupby(slices, itemgetter(0)):
-        walls_at: defaultdict[int, list[WallClass]] = defaultdict(list)  # b -> walls of this a
-        boundary_of_a: list[WallClass] = []
-        for _, exc, b, b_last, z_sq, ell, z_l, on_boundary in group:
-            if on_boundary:
-                boundary_of_a.append(_boundary(config, a, exc, b, b_last, z_sq, ell))
-                b_last -= 2
-            while b <= b_last:
-                walls_at[b].append(new_wall(new_class(a, b, exc, config), z_sq, ell, a, z_l))
-                b += 2
-                z_sq += 4 * a
-                ell += a
-                z_l += 2 * p
-        for b in sorted(walls_at):
-            walls += walls_at[b]
-        boundary += sorted(boundary_of_a, key=attrgetter("zeta.b"))
-    return WallSearch(tuple(walls), tuple(boundary))
+    # a collection during the build frees nothing it made (see the module doc)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        slices = _slices(config, chern, polarization, max_candidates, walk_runs=True)
+        for a, group in groupby(slices, itemgetter(0)):
+            walls_at: defaultdict[int, list[WallClass]] = defaultdict(list)  # b -> walls of this a
+            boundary_of_a: list[WallClass] = []
+            for _, exc, b, b_last, z_sq, ell, z_l, on_boundary in group:
+                if on_boundary:
+                    boundary_of_a.append(_boundary(config, a, exc, b, b_last, z_sq, ell))
+                    b_last -= 2
+                while b <= b_last:
+                    walls_at[b].append(new_wall(new_class(a, b, exc, config), z_sq, ell, a, z_l))
+                    b += 2
+                    z_sq += 4 * a
+                    ell += a
+                    z_l += 2 * p
+            for b in sorted(walls_at):
+                walls += walls_at[b]
+            boundary += sorted(boundary_of_a, key=attrgetter("zeta.b"))
+        return WallSearch(tuple(walls), tuple(boundary))
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _boundary(config, a, exc, b, b_last, z_sq, ell):

@@ -290,6 +290,25 @@ class TestResultDocuments:
                     assert "ruledmoduli" not in ast.unparse(node), f"{engine}: import the package relatively"
         assert {name for _, name in imported} <= {"errors", "lattice", "invariants"}, sorted(imported)
 
+    def test_only_wall_search_touches_the_collector(self):
+        """The collector's state is process-wide: walls.py alone imports gc,
+        as plain ``import gc``, and only wall_search uses it, to pause the
+        collector and restore its state."""
+        importers, used = [], []
+        for path in sorted(Path(ruledmoduli.__file__).parent.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            inside = {id(node) for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+                      and function.name == "wall_search" for node in ast.walk(function)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    importers += [(path.name, ast.unparse(node)) for alias in node.names if alias.name == "gc"]
+                elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+                    importers.append((path.name, ast.unparse(node)))
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "gc":
+                    used.append((path.name, id(node) in inside, node.attr))
+        assert importers == [("walls.py", "import gc")]
+        assert set(used) == {("walls.py", True, name) for name in ("isenabled", "disable", "enable")}
+
     def test_family_report(self):
         doc, notes = _c1f1(0, 1, 0, 0, 4)
         assert set(doc) == {"family_dim", "moduli_dim", "ext1", "assumptions", "dominance"}

@@ -586,8 +586,18 @@ class TestValidationAndJson:
             DivisorClass(0, 0, (1,), SurfaceConfig(0, 0, 0))
 
     def test_scalars_must_be_integers(self):
+        cfg = SurfaceConfig(0, 0, 0)
         with pytest.raises(TypeError):
-            SurfaceConfig(0, 0, 0).fiber() * 1.5
+            cfg.fiber() * 1.5
+        # a scalar passes the integer gate: d * True used to return d, and
+        # 2^70 * zero the zero class
+        for bad in (True, False):
+            for product in (lambda: cfg.fiber() * bad, lambda: bad * cfg.fiber()):
+                with pytest.raises(TypeError, match="unsupported operand"):
+                    product()
+        for product in (lambda: 2**70 * cfg.zero(), lambda: cfg.zero() * 2**70):
+            with pytest.raises(IntegerOverflowError, match=f"^scalar {2**70} exceeds the signed 64-bit range$"):
+                product()
 
     def test_round_trips(self):
         # the CLI is the only JSON reader and writer; what it writes it reads back

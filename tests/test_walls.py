@@ -1,3 +1,4 @@
+import gc
 import random
 from dataclasses import FrozenInstanceError
 from math import isqrt
@@ -289,6 +290,42 @@ class TestEnumeration:
                     (w.zeta.a, w.zeta.b, w.zeta.exc) for w in search.boundary
                 )
                 assert (got, got_boundary) == brute_walls(cfg, chern, pol)
+
+    def test_builds_with_the_collector_paused_and_restores_its_state(self):
+        # with the collector running, this search started 27 young and 3
+        # middle collections, each walking the walls built so far
+        cfg = SurfaceConfig(0, 1, 3)
+        chern = ChernData(cfg.divisor(0, 1, (1, 1, 1)), 40)
+        pol = Polarization(cfg.divisor(3, 7, (-1, -1, -1)))
+        started = []
+
+        def record(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        enabled, threshold = gc.isenabled(), gc.get_threshold()
+        try:
+            gc.enable()
+            gc.collect()  # no collection is due when the call starts
+            gc.callbacks.append(record)
+            search = wall_search(cfg, chern, pol)
+            assert not started
+            assert gc.isenabled()
+            gc.callbacks.remove(record)
+            assert len(search.walls) == 9285
+            gc.disable()
+            wall_search(cfg, chern, pol)
+            assert not gc.isenabled()
+            gc.enable()
+            with pytest.raises(SearchBoundsError):  # raised mid-build, after some walls
+                wall_search(cfg, chern, pol, max_candidates=5000)
+            assert gc.isenabled()
+        finally:
+            if record in gc.callbacks:
+                gc.callbacks.remove(record)
+            if not enabled:
+                gc.disable()
+        assert gc.get_threshold() == threshold
 
 
 class TestWallClass:
