@@ -44,11 +44,11 @@ only place the package touches ``gc``.  The pause is sound because the build
 makes only acyclic objects: each ``WallClass`` holds its ``zeta`` and ints,
 each ``zeta`` holds ints, its slice's exc tuple and the ``SurfaceConfig``,
 so a cyclic collection during the build could free nothing it made.  A
-running collector would walk the growing result about two hundred times per
-search at the anchor's c2=80, and each full collection the caller's whole
-heap too, so a search's cost would grow with the results the caller keeps.
-The caller's next young-generation collection makes one pass over the new
-walls.
+running collector would walk the growing result about two hundred times in
+one search on that surface at c2=80, and each full collection the caller's
+whole heap too, so a search's cost would grow with the results the caller
+keeps.  The caller's next young-generation collection makes one pass over
+the new walls.
 """
 
 from __future__ import annotations
@@ -274,7 +274,6 @@ def wall_search(
     new_class, new_wall = DivisorClass._unchecked, WallClass._unchecked
     walls: list[WallClass] = []
     boundary: list[WallClass] = []
-    # a collection during the build frees nothing it made (see the module doc)
     collecting = gc.isenabled()
     gc.disable()
     try:

@@ -292,8 +292,8 @@ class TestEnumeration:
                 assert (got, got_boundary) == brute_walls(cfg, chern, pol)
 
     def test_builds_with_the_collector_paused_and_restores_its_state(self):
-        # with the collector running, this search started 27 young and 3
-        # middle collections, each walking the walls built so far
+        # a running collector would start about 30 collections in this
+        # search, each walking the walls built so far
         cfg = SurfaceConfig(0, 1, 3)
         chern = ChernData(cfg.divisor(0, 1, (1, 1, 1)), 40)
         pol = Polarization(cfg.divisor(3, 7, (-1, -1, -1)))
