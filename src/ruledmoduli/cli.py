@@ -7,9 +7,12 @@ library routine, and emits a single document
     {"status": "ok"|"error", "result": ..., "assumptions": [...], "warnings": [...]}
 
 with keys sorted and no incidental whitespace, so identical inputs produce
-byte-identical output.  Exit codes: 0 on success, 1 on a domain error
-(reported inside the JSON document), 2 on a usage error (reported on the
-diagnostic stream together with a pointer to ``--schema``).
+byte-identical output.  One writer, ``_canonical``, writes every document:
+it walks the dicts, writes each wall straight from its fields
+(``_wall_text``), so a large ``walls`` result builds no container per wall,
+and hands every other value to ``json.dumps``.  Exit codes: 0 on success,
+1 on a domain error (reported inside the JSON document), 2 on a usage error
+(reported on the diagnostic stream together with a pointer to ``--schema``).
 """
 
 from __future__ import annotations
@@ -64,11 +67,28 @@ def _divisor_doc(divisor: DivisorClass) -> dict:
     return {"a": divisor.a, "b": divisor.b, "exc": list(divisor.exc)}
 
 
-def _wall_doc(wall) -> dict | None:
-    """A ``walls.WallClass``, or None, as its document."""
-    if wall is None:
-        return None
-    return {"zeta": _divisor_doc(wall.zeta), "zeta_sq": wall.zeta_sq, "ell": wall.ell, "zF": wall.zF, "zL": wall.zL}
+def _wall_text(wall) -> str:
+    """A ``walls.WallClass`` as the canonical JSON text of ``_WALL_DOC``, written
+    straight from its fields in sorted key order."""
+    zeta = wall.zeta
+    return (f'{{"ell":{wall.ell},"zF":{wall.zF},"zL":{wall.zL},"zeta":{{"a":{zeta.a},"b":{zeta.b},'
+            f'"exc":[{",".join(map(str, zeta.exc))}]}},"zeta_sq":{wall.zeta_sq}}}')
+
+
+def _canonical(value) -> str:
+    """``json.dumps(value, sort_keys=True, separators=(",", ":"))``, except that
+    a ``walls.WallClass``, or a non-empty tuple of them, is written by
+    ``_wall_text``.  Only dicts are walked; a wall is recognized by its exact
+    type, read from the loaded module, so only a wall handler can put one in."""
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{json.dumps(key)}:{_canonical(value[key])}" for key in sorted(value)) + "}"
+    walls = sys.modules.get(f"{__package__}.walls")
+    if walls is not None:
+        if type(value) is walls.WallClass:
+            return _wall_text(value)
+        if type(value) is tuple and value and all(type(item) is walls.WallClass for item in value):
+            return f"[{','.join(map(_wall_text, value))}]"
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 # what --schema prints for each payload kind; a JSON object payload must have
@@ -140,6 +160,8 @@ def _parse(kind: str, text, flag: str, config: SurfaceConfig | None):
         value = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{flag} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # the decoder refuses an integer with too many digits to convert
+        raise UsageError(f"{flag}: an integer is outside the signed 64-bit range ({exc})") from exc
     except RecursionError as exc:  # the decoder's depth is bounded by the recursion limit
         raise UsageError(f"{flag} is nested too deeply to parse") from exc
     if not isinstance(value, (dict, list)):
@@ -188,8 +210,8 @@ def _walls(config, c1, c2, polarization):
 
     search = walls.wall_search(config, ChernData(c1, c2), Polarization(polarization))
     return {
-        "walls": [_wall_doc(w) for w in search.walls],
-        "boundary": [_wall_doc(w) for w in search.boundary],
+        "walls": search.walls,
+        "boundary": search.boundary,
         "excluded_negative_length": search.excluded_negative_length,
     }, []
 
@@ -200,8 +222,8 @@ def _suitable(config, c1, c2, polarization):
     verdict = walls.is_suitable(config, ChernData(c1, c2), Polarization(polarization))
     return {
         "suitable": verdict.suitable,
-        "witness": _wall_doc(verdict.witness),
-        "boundary": [_wall_doc(w) for w in verdict.boundary],
+        "witness": verdict.witness,
+        "boundary": verdict.boundary,
     }, _boundary_notes(verdict.boundary)
 
 
@@ -212,7 +234,7 @@ def _certify_dv0(config, c1, c2, polarization):
     return {
         "certified": certificate.certified,
         "d": certificate.d_value,
-        "witness": _wall_doc(certificate.separating_wall),
+        "witness": certificate.separating_wall,
     }, _boundary_notes(certificate.boundary)
 
 
@@ -427,7 +449,7 @@ def run(argv: list[str] | None = None) -> int:
                 # family reports carry their vanishing assumptions; the envelope repeats them
                 assumptions = list(result.get("assumptions", []))
                 doc, code = {"status": "ok", "result": result, "assumptions": assumptions, "warnings": notes}, 0
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        text = _canonical(doc) + "\n"
         if output_path:  # opened only now, so a usage error leaves no file behind
             try:
                 handle = open(output_path, "w", encoding="utf-8")

@@ -1,13 +1,19 @@
 import argparse
 import ast
+import gc
 import json
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+import hypothesis.strategies as st
 
 import ruledmoduli
-from ruledmoduli import ChernData, ExtensionDatum, SurfaceConfig, c1f1_report
-from ruledmoduli.cli import COMMANDS, _c1f1, _parse, _schema, _stability, build_parser, run
+from conftest import random_chern, random_polarization
+from ruledmoduli import ChernData, ExtensionDatum, Polarization, SurfaceConfig, WallClass, c1f1_report, wall_search
+from ruledmoduli.cli import (COMMANDS, _DIVISOR_DOC, _WALL_DOC, _c1f1, _canonical, _certify_dv0, _parse, _schema,
+                             _stability, _suitable, _wall_text, build_parser, run)
 
 CONFIG_00 = '{"genus":0,"e":0,"points":0}'
 CONFIG_G2 = '{"genus":2,"e":1,"points":0}'
@@ -239,6 +245,161 @@ class TestDeterminism:
     def test_envelope_shape(self, capsys):
         doc = result_of(capsys, ["family-dim", "example", "--n", "2"])
         assert set(doc) == {"status", "result", "assumptions", "warnings"}
+
+
+ANCHOR = SurfaceConfig(0, 1, 3)
+ANCHOR_C1 = ANCHOR.divisor(0, 1, (1, 1, 1))
+ANCHOR_L = ANCHOR.divisor(3, 7, (-1, -1, -1))
+ANCHOR_ARGV = ["walls", "--config", '{"genus":0,"e":1,"points":3}', "--c1", '{"a":0,"b":1,"exc":[1,1,1]}',
+               "--c2", "40", "--polarization", '{"a":3,"b":7,"exc":[-1,-1,-1]}']
+GOLDEN_DOCS = [json.loads(case["stdout"]) for case in json.loads(
+    (Path(__file__).with_name("cli_golden.json")).read_text(encoding="utf-8")) if case["stdout"]]
+
+
+def dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """got == want, reported at the first difference: a full diff of a large
+    document would take pytest minutes."""
+    if got != want:
+        at = next((i for i, (x, y) in enumerate(zip(got, want)) if x != y), min(len(got), len(want)))
+        pytest.fail(f"texts differ at {at} of {len(got)}/{len(want)}: {got[at - 60:at + 60]!r} "
+                    f"!= {want[at - 60:at + 60]!r}")
+
+
+def dict_encoding(value):
+    """The reference encoding: value with each wall as a dict of the shape
+    ``_WALL_DOC`` gives, and each tuple as a list."""
+    if isinstance(value, dict):
+        return {key: dict_encoding(item) for key, item in value.items()}
+    if isinstance(value, tuple):
+        return [dict_encoding(item) for item in value]
+    if isinstance(value, WallClass):
+        zeta = value.zeta
+        return {"zeta": {"a": zeta.a, "b": zeta.b, "exc": list(zeta.exc)}, "zeta_sq": value.zeta_sq,
+                "ell": value.ell, "zF": value.zF, "zL": value.zL}
+    return value
+
+
+# JSON values: strings with quotes, backslashes, control and non-ASCII
+# characters, integers up to the ends of the 64-bit range, nested containers
+TEXT = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600'),
+                         st.characters()), max_size=8)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | TEXT | st.integers(-(2**63 - 1), 2**63 - 1)
+    | st.sampled_from([2**63 - 1, -(2**63 - 1), 0]),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(TEXT, children, max_size=4),
+    max_leaves=24,
+)
+
+
+def small_searches():
+    """Seeded wall searches on g <= 2 surfaces, five per blowup count m = 0..3."""
+    rng = random.Random(20)
+    cases = []
+    for m in range(4):
+        for _ in range(5):
+            genus = rng.randint(0, 2)
+            cfg = SurfaceConfig(genus, rng.randint(0 if genus == 0 else -1, 2), m)
+            cases.append((cfg, random_chern(rng, cfg, max_c2=12), random_polarization(rng, cfg)))
+    return cases
+
+
+class TestCanonicalWriter:
+    """cli writes every document with one canonical writer, which writes walls
+    straight from their fields; its text is that of the sorted, compact
+    ``json.dumps`` of the document with each wall as a dict."""
+
+    def test_golden_documents_are_written_again_byte_for_byte(self):
+        assert len(GOLDEN_DOCS) >= 37  # every transcript that prints a document
+        for doc in GOLDEN_DOCS:
+            assert _canonical(doc) == dumps(doc)
+
+    @given(JSON_VALUES)
+    def test_json_values_are_written_as_json_dumps_writes_them(self, value):
+        assert _canonical(value) == dumps(value)
+
+    def test_anchor_walls_are_written_as_their_dict_encoding(self):
+        search = wall_search(ANCHOR, ChernData(ANCHOR_C1, 40), Polarization(ANCHOR_L))
+        assert (len(search.walls), len(search.boundary)) == (9285, 592)
+        for wall in search.walls + search.boundary:
+            assert _wall_text(wall) == dumps(dict_encoding(wall))
+        doc = {"walls": search.walls, "boundary": search.boundary}
+        assert_same_text(_canonical(doc), dumps(dict_encoding(doc)))
+
+    def test_small_searches_are_written_as_their_dict_encoding(self):
+        written = [0] * 4
+        for cfg, chern, pol in small_searches():
+            search = wall_search(cfg, chern, pol)
+            for wall in search.walls + search.boundary:
+                assert _wall_text(wall) == dumps(dict_encoding(wall))
+            doc = {"walls": search.walls, "boundary": search.boundary}
+            assert_same_text(_canonical(doc), dumps(dict_encoding(doc)))
+            written[cfg.num_points] += len(search.walls) + len(search.boundary)
+        assert all(written), written  # m = 0, with "exc":[], included
+
+    @pytest.mark.parametrize("config,c1,c2,polarization,witness,boundary", [
+        (SurfaceConfig(0, 0, 0), (0, 1, ()), 2, (1, 3, ()), False, 0),
+        (SurfaceConfig(0, 0, 0), (0, 1, ()), 2, (3, 1, ()), True, 0),
+        (SurfaceConfig(0, 0, 0), (0, 1, ()), 2, (2, 1, ()), True, 1),
+        (SurfaceConfig(0, 0, 2), (0, 1, (1, 0)), 2, (5, 2, (-3, -3)), True, 6),
+    ], ids=["no-wall", "separating", "boundary", "several-a"])
+    def test_decision_documents_are_written_as_their_dict_encoding(self, config, c1, c2, polarization,
+                                                                   witness, boundary):
+        args = (config, config.divisor(*c1), c2, config.divisor(*polarization))
+        for handler in (_suitable, _certify_dv0):
+            doc, _ = handler(*args)
+            assert (doc["witness"] is not None) == witness
+            assert_same_text(_canonical(doc), dumps(dict_encoding(doc)))
+        doc, _ = _suitable(*args)
+        assert len(doc["boundary"]) == boundary
+
+    def test_wall_text_has_the_schema_keys(self):
+        search = wall_search(ANCHOR, ChernData(ANCHOR_C1, 8), Polarization(ANCHOR_L))
+        assert search.walls
+        doc = json.loads(_wall_text(search.walls[0]))
+        assert doc.keys() == _WALL_DOC.keys()
+        assert doc["zeta"].keys() == _DIVISOR_DOC.keys()
+
+    def test_only_walls_are_written_as_walls(self):
+        search = wall_search(ANCHOR, ChernData(ANCHOR_C1, 8), Polarization(ANCHOR_L))
+        wall = search.walls[0]
+        assert _canonical(()) == "[]"
+        assert _canonical((1, "a", None)) == '[1,"a",null]'
+        assert _canonical({"w": (wall,), "x": wall}) == f'{{"w":[{_wall_text(wall)}],"x":{_wall_text(wall)}}}'
+        assert _canonical({"w": (wall, wall)}) == '{"w":[' + _wall_text(wall) + "," + _wall_text(wall) + "]}"
+        for mixed in ((wall, 1), [wall]):  # only a tuple of walls, as the engine returns it
+            with pytest.raises(TypeError, match="WallClass is not JSON serializable"):
+                _canonical(mixed)
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            _canonical(type("WallClass", (), {"zeta": wall.zeta})())
+
+    def test_walls_start_few_collections(self, capsys):
+        """Written from the walls' fields, the c2 = 40 anchor document builds
+        no container per wall, so the collector barely runs (the dict
+        encoding started 44 collections)."""
+        started = []
+
+        def record(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        enabled = gc.isenabled()
+        try:
+            gc.enable()
+            gc.collect()  # no collection is due when the call starts
+            gc.callbacks.append(record)
+            code = run(ANCHOR_ARGV)
+        finally:
+            if record in gc.callbacks:
+                gc.callbacks.remove(record)
+            if not enabled:
+                gc.disable()
+        assert code == 0
+        assert len(capsys.readouterr().out) == 781365
+        assert len(started) <= 5, started
 
 
 class TestResultDocuments:
@@ -483,6 +644,19 @@ class TestErrorPaths:
                                          "--d1", "[" * depth + "]" * depth, "--d2", FIBER])
         assert code == 2 and out == ""
         assert err.startswith("usage error: --d1")
+
+    @pytest.mark.parametrize("flag,argv", [
+        ("--divisor", ["rr", "--config", '{"genus":0,"e":1,"points":0}',
+                       "--divisor", '{"a":' + "1" * 5000 + ',"b":0,"exc":[]}']),
+        ("--ell", ["family-dim", "c1f0", "--g", "0", "--eta", "0", "--m", "1", "--n", "3", "--eps", "0",
+                   "--r1", "-3", "--ell", "[" + "7" * 5000 + "]", "--h0", "1"]),
+    ], ids=["divisor", "ell"])
+    def test_integer_too_long_to_decode_is_usage_error(self, capsys, flag, argv):
+        # the decoder refuses more than 4300 digits before any range check runs
+        code, out, err = invoke(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"usage error: {flag}: an integer is outside the signed 64-bit range (")
+        assert "5000 digits" in err
 
 
 # the payload doc of each JSON object flag, as --schema prints it
