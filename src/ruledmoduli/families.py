@@ -26,7 +26,7 @@ from .lattice import (
     DivisorClass,
     SurfaceConfig,
     _canonical_term,
-    _least_effective_b,
+    _effectivity_run,
     _require_surface,
     effectivity,
     euler_char,
@@ -102,8 +102,8 @@ def ext1_rr(
     difference = sub - quot
     dual_class = _canonical_term(config) - difference
     for cls in (difference, dual_class):
-        need = _least_effective_b(cls.a, cls.exc)
-        if need is not None and cls.b >= need:
+        run = _effectivity_run(config.genus, cls.a, cls.exc)
+        if run is not None and cls.b >= run[1]:
             raise AssumptionViolatedError(
                 f"vanishing assumed for {cls}, but the class is certified "
                 f"effective with witness {effectivity(cls).decomposition}"
@@ -114,6 +114,14 @@ def ext1_rr(
     )
     value = checked_int(-euler_char(config, difference) + ell, "ext^1 dimension")
     return value, assumptions
+
+
+def _check_family_domain(genus: int, m: int, n: int, eps: int) -> None:
+    """The even-fibre counts' domain, genus first."""
+    if genus < 0:
+        raise ValueError(f"genus must be >= 0, got {genus}")
+    if m < 0 or n < 0 or eps not in (0, 1):
+        raise ValueError("need m >= 0, n >= 0 and eps in {0, 1}")
 
 
 def family_dim_c1f0(
@@ -137,6 +145,7 @@ def family_dim_c1f0(
     which is ext^1 + 2g + 2*length - h0 after eliminating the length.
     """
     checked_ints(genus=genus, eta=eta, m=m, n=n, eps=eps, r1=r1, h0=h0)
+    _check_family_domain(genus, m, n, eps)
     ell = tuple(ell)
     if len(ell) != m:
         raise ValueError(f"expected {m} multiplicities, got {len(ell)}")
@@ -161,6 +170,8 @@ def family_dim_c1f1(genus: int, e: int, beta: int, rho: int, c2: int) -> int:
     projectivization) and agrees with the expected moduli dimension.
     """
     checked_ints(genus=genus, e=e, beta=beta, rho=rho, c2=c2)
+    if genus < 0 or rho < 0:
+        raise ValueError(f"need genus >= 0 and rho >= 0, got genus {genus} and rho {rho}")
     return checked_int(4 * c2 - 2 * beta + rho + 4 * genus - 3 + e, "family dimension")
 
 
@@ -221,10 +232,7 @@ def maximize_family_dim(
     off the argmax lowers the count by exactly 2, 1 and 1.
     """
     checked_ints(genus=genus, eta=eta, m=m, n=n, eps=eps)
-    if genus < 0:
-        raise ValueError(f"genus must be >= 0, got {genus}")
-    if m < 0 or n < 0 or eps not in (0, 1):
-        raise ValueError("need m >= 0, n >= 0 and eps in {0, 1}")
+    _check_family_domain(genus, m, n, eps)
     c2 = 2 * n + eps
     r0 = r0_generic(genus, eta, c2)
     delta = 2 * r0 - (eta - c2 - genus)

@@ -328,29 +328,36 @@ def euler_char(config: SurfaceConfig, d: DivisorClass) -> int:
     return checked_int((1 - config.genus) + d_dk // 2, "Euler characteristic")
 
 
-def _least_effective_b(a: int, exc: tuple[int, ...]) -> int | None:
-    """Least b with a*C0 + b*F + sum(ci*Ei) in the cone of {C0, F, Ei, F-Ei}:
-    sum(max(0, -ci)), or None when a < 0 and no b is.  Exact, unchecked."""
+def _effectivity_run(genus: int, a: int, exc: tuple[int, ...]) -> tuple[int | None, int] | None:
+    """The effectivity rule for the run of b in a*C0 + b*F + sum(ci*Ei), exact and unchecked.
+
+    None when a < 0, where the fibre rule rules out every b.  Otherwise (lo, need):
+    b < lo is NOT_EFFECTIVE (the pushforward rule: lo = 0 on genus 0, None for no
+    bound elsewhere), b >= need = sum(max(0, -ci)) is EFFECTIVE (the cone of
+    {C0, F, Ei, F-Ei}), and UNKNOWN lies between."""
     if a < 0:
         return None
-    return (sum(map(abs, exc)) - sum(exc)) // 2
+    return (0 if genus == 0 else None), (sum(map(abs, exc)) - sum(exc)) // 2
+
+
+_UNKNOWN = Effectivity(EffectivityVerdict.UNKNOWN)
 
 
 def effectivity(d: DivisorClass) -> Effectivity:
-    """Sound semi-decision for effectivity of a divisor class.
+    """Sound semi-decision for effectivity of a divisor class, read off
+    ``_effectivity_run(genus, a, exc)``.
 
-    EFFECTIVE when d is a nonnegative integer combination of the honestly
-    effective classes {C0, F, Ei, F-Ei}; the cone these span is simplicial
-    enough that membership has a closed form, ``_least_effective_b``, and
-    the witness takes the F coefficient b minus that least b.  NOT_EFFECTIVE
-    when d.F < 0, or, for genus 0, when the pushforward a*C0 + b*F to the
-    minimal model fails a >= 0 or b >= 0 (the effective cone of a Hirzebruch
-    surface).  Everything else is UNKNOWN: the full effective cone of a
+    EFFECTIVE carries the decomposition over {C0, F, Ei, F-Ei}, with F
+    coefficient b - need; NOT_EFFECTIVE names the violated condition.  The
+    rest is UNKNOWN, one shared answer: the full effective cone of a
     general-point blowup is not known, so soundness wins over completeness.
     """
-    fiber_degree = d.a  # d.F with the mixed products zero
-    need = _least_effective_b(d.a, d.exc)
-    if need is not None and d.b >= need:
+    run = _effectivity_run(d.config.genus, d.a, d.exc)
+    if run is None:
+        return Effectivity(EffectivityVerdict.NOT_EFFECTIVE,
+                           violated=f"pairing with the nef fibre class is {d.a} < 0")
+    lo, need = run
+    if d.b >= need:
         decomposition: dict[str, int] = {}
         if d.a:
             decomposition["C0"] = d.a
@@ -362,20 +369,10 @@ def effectivity(d: DivisorClass) -> Effectivity:
             elif c < 0:
                 decomposition[f"F-E{i + 1}"] = -c
         return Effectivity(EffectivityVerdict.EFFECTIVE, decomposition=decomposition)
-    if fiber_degree < 0:
-        return Effectivity(
-            EffectivityVerdict.NOT_EFFECTIVE,
-            violated=f"pairing with the nef fibre class is {fiber_degree} < 0",
-        )
-    if d.config.genus == 0 and d.b < 0:
-        return Effectivity(
-            EffectivityVerdict.NOT_EFFECTIVE,
-            violated=(
-                f"pushforward to the minimal rational ruled surface has "
-                f"F-coefficient {d.b} < 0"
-            ),
-        )
-    return Effectivity(EffectivityVerdict.UNKNOWN)
+    if lo is not None and d.b < lo:
+        return Effectivity(EffectivityVerdict.NOT_EFFECTIVE, violated=(
+            f"pushforward to the minimal rational ruled surface has F-coefficient {d.b} < {lo}"))
+    return _UNKNOWN
 
 
 def h0_hirzebruch(config: SurfaceConfig, d: DivisorClass) -> int:

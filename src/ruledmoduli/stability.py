@@ -5,10 +5,10 @@ A bundle presented by a sub-line-bundle class ``sub`` and a quotient class
 when every rank-one subsheaf O(A) satisfies 2*(A.L) < c1.L.  Any such A
 injects either into the sub (branch 1: sub - A effective) or into the
 ideal-twisted quotient (branch 2: quot - A effective, and on surfaces with
-exact section counts the generality of the subscheme prunes further).  The
-search enumerates a finite coefficient box, so a STABLE_CERTIFIED verdict is
-always relative to the recorded box.  Inside it, a search costs one pass over
-the (a, exc) slices of the box plus one step per recorded candidate.
+exact section counts the generality of the subscheme prunes further).  Which
+branches A has is ``lattice._effectivity_run``'s answer.  The search walks a
+finite box, and a STABLE_CERTIFIED verdict is relative to it; a search costs
+one pass over the box's (a, exc) slices plus one step per recorded candidate.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from .lattice import (
     EffectivityVerdict,
     Polarization,
     SurfaceConfig,
+    _UNKNOWN,
+    _effectivity_run,
     _h0_hirzebruch,
     _require_surface,
     effectivity,
@@ -112,10 +114,11 @@ def destabilizer_search(
     every survivor is pruned.  A certificate is relative to the box.
 
     The doubled margin is linear in A, with weights C0.L, F.L > 0 and Ei.L
-    read from ``polarization.checks``.  X - A is certified non-effective
-    exactly when a > X.a or, on genus 0, b > X.b: each slice (a, exc) with
-    a <= X.a records one run of b on branch X, so the search costs one pass
-    over the slices plus one step per record.
+    read from ``polarization.checks``.  On a slice (a, exc), X - A has fixed
+    a and exc, so ``lattice._effectivity_run`` gives branch X one run of b
+    (none, or b <= X.b - lo) and its EFFECTIVE end b <= X.b - need, the only
+    records ``effectivity`` sees; the UNKNOWN rest share one answer.  The
+    search costs one pass over the slices plus one step per record.
 
     Pruning needs exact section counts (genus 0, no blown-up points).  For
     a general Z of length ell, I_Z(quot + kF) has no sections once
@@ -145,16 +148,18 @@ def destabilizer_search(
             rest = c1_l - 2 * (a * c0_l + sum(c * w for c, w in zip(exc, exc_l)))
             b_lo = max(-box.fiber_bound, -(-rest // (2 * f_l)))  # the least b of margin >= 0
             for branch, x in ((1, sub), (2, quot)):
-                if a <= x.a:
-                    b_hi = min(box.fiber_bound, x.b) if config.genus == 0 else box.fiber_bound
-                    records += [(b, exc, branch, rest) for b in range(b_lo, b_hi + 1)]
+                run = _effectivity_run(config.genus, x.a - a, tuple(xc - c for xc, c in zip(x.exc, exc)))
+                if run is not None:  # X - A is EFFECTIVE for b <= x.b - need
+                    lo, need = run
+                    b_hi = box.fiber_bound if lo is None else min(box.fiber_bound, x.b - lo)
+                    records += [(b, exc, branch, rest, x.b - need) for b in range(b_lo, b_hi + 1)]
         records.sort()  # (b, exc, branch) is unique, so this is the box order
         point = None
-        for b, exc, branch, rest in records:
+        for b, exc, branch, rest, b_eff in records:
             if (b, exc) != point:  # the branches of one point share its class and margin
                 point, cand = (b, exc), DivisorClass._unchecked(a, b, exc, config)
                 margin2 = 2 * b * f_l - rest
-            eff = effectivity((sub if branch == 1 else quot) - cand)
+            eff = effectivity((sub if branch == 1 else quot) - cand) if b <= b_eff else _UNKNOWN
             pruned = branch == 2 and a >= 0 and config.genus == 0 and m == 0 and (
                 _h0_hirzebruch(config.invariant_e, quot.a, quot.b - b) <= ell
             )

@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 
 import ruledmoduli.families
 from conftest import EDGE_INTS, config_with_divisors, configs
-from ruledmoduli.lattice import _canonical_term, _least_effective_b
+from ruledmoduli.lattice import _canonical_term, _effectivity_run
 from ruledmoduli import (
     AssumptionViolatedError,
     ChernData,
@@ -121,9 +121,9 @@ class TestExt1:
             dual = _canonical_term(cfg) - difference
         except IntegerOverflowError:
             assume(False)
-        least = [_least_effective_b(cls.a, cls.exc) for cls in (difference, dual)]
+        runs = [_effectivity_run(cfg.genus, cls.a, cls.exc) for cls in (difference, dual)]
         passing = [
-            cls for cls, b in zip((difference, dual), least) if b is not None and cls.b >= b
+            cls for cls, run in zip((difference, dual), runs) if run is not None and cls.b >= run[1]
         ]
         if passing:
             first = re.escape(str(passing[0]))
@@ -201,6 +201,24 @@ class TestFamilyDimEvenFiber:
         with pytest.raises(ValueError):
             family_dim_c1f0(0, 0, 2, 3, 0, -3, (0,), 1)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((-4, 0, 0, 0, 9), "genus must be >= 0, got -4"),
+            ((0, 0, -1, 1, 0), "need m >= 0, n >= 0 and eps in {0, 1}"),
+            ((0, 0, 0, -2, 5), "need m >= 0, n >= 0 and eps in {0, 1}"),
+            ((0, 0, 0, 1, 2), "need m >= 0, n >= 0 and eps in {0, 1}"),
+        ],
+    )
+    def test_refuses_what_the_maximizer_refuses(self, args, message):
+        # one gate for both even-fibre counts, genus first: family_dim_c1f0(-4, ..., eps=9)
+        # returned 13, and the CLI printed a report for n = -2, eps = 5
+        m = max(args[2], 0)
+        for call in (lambda: family_dim_c1f0(*args, -3, (0,) * m, 1), lambda: maximize_family_dim(*args)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+
     @given(
         st.integers(0, 3),
         st.integers(0, 1),
@@ -233,6 +251,13 @@ class TestFamilyDimEvenFiber:
 class TestFamilyDimOddFiber:
     def test_concrete_evaluation(self):
         assert family_dim_c1f1(0, 1, 0, 2, 10) == 40
+
+    @pytest.mark.parametrize("genus, rho", [(-1, -3), (-1, 0), (0, -3)])
+    def test_refuses_negative_genus_and_rho(self, genus, rho):
+        # family_dim_c1f1(-1, 0, 0, -3, 0) returned -10
+        with pytest.raises(ValueError) as info:
+            family_dim_c1f1(genus, 0, 0, rho, 0)
+        assert str(info.value) == f"need genus >= 0 and rho >= 0, got genus {genus} and rho {rho}"
 
     def test_identities(self):
         for genus, e, beta, rho, c2 in [(0, 0, 0, 0, 5), (1, 2, 1, 3, 5), (3, 4, 1, 5, 12)]:

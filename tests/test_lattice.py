@@ -17,7 +17,7 @@ from conftest import (
 )
 from ruledmoduli.errors import INT64_MAX, INT64_MIN
 from ruledmoduli.cli import _divisor_doc, _parse
-from ruledmoduli.lattice import _canonical_term, _least_effective_b, pairing
+from ruledmoduli.lattice import _canonical_term, _effectivity_run, pairing
 from ruledmoduli import (
     ChernData,
     ConfigMismatchError,
@@ -383,15 +383,24 @@ class TestEffectivity:
     def test_closed_form_rule_decides_the_effective_verdict(self, cfg, data):
         a = data.draw(EDGE_INTS)
         exc = tuple(data.draw(EDGE_INTS) for _ in range(cfg.num_points))
-        least = _least_effective_b(a, exc)
-        # b at the least effective b, one either side of it, or anywhere
-        near = [min(INT64_MAX, max(INT64_MIN, (least or 0) + k)) for k in (-1, 0, 1)]
+        run = _effectivity_run(cfg.genus, a, exc)
+        lo, need = (None, None) if run is None else run
+        if lo is not None:  # no class is both NOT_EFFECTIVE and EFFECTIVE
+            assert lo <= need
+        # b at either end of the run, one either side of it, or anywhere
+        ends = [end for end in (lo, need) if end is not None] or [0]
+        near = [min(INT64_MAX, max(INT64_MIN, end + k)) for end in ends for k in (-1, 0, 1)]
         b = data.draw(st.sampled_from(near) | EDGE_INTS)
         verdict = effectivity(cfg.divisor(a, b, exc))
-        passes = least is not None and b >= least
-        assert passes == (verdict.verdict is EffectivityVerdict.EFFECTIVE)
-        if passes:
-            assert verdict.decomposition.get("F", 0) == b - least
+        if run is None or (lo is not None and b < lo):
+            expected = EffectivityVerdict.NOT_EFFECTIVE
+        elif b >= need:
+            expected = EffectivityVerdict.EFFECTIVE
+        else:
+            expected = EffectivityVerdict.UNKNOWN
+        assert verdict.verdict is expected
+        if expected is EffectivityVerdict.EFFECTIVE:
+            assert verdict.decomposition.get("F", 0) == b - need
 
     @given(config_with_divisors(lo=-3, hi=3))
     def test_matches_brute_force_cone_membership(self, data):

@@ -352,9 +352,16 @@ class TestCompleteness:
 
         monkeypatch.setattr(ruledmoduli.stability, "effectivity", counted)
         cfg = SurfaceConfig(1, 0, 2)
+        sub, quot = cfg.divisor(0, -1, (0, 0)), cfg.divisor(0, 2, (1, 1))
         verdict = destabilizer_search(
-            cfg, cfg.divisor(0, -1, (0, 0)), cfg.divisor(0, 2, (1, 1)), 2,
-            Polarization(cfg.divisor(3, 8, (-1, -2))), SearchBox(5, 5, 5),
+            cfg, sub, quot, 2, Polarization(cfg.divisor(3, 8, (-1, -2))), SearchBox(5, 5, 5),
         )
-        assert verdict.candidates
-        assert len(calls) == len(verdict.candidates)
+        # effectivity builds only the witnesses; the rule answers every other record
+        by_verdict = {v: [c for c in verdict.candidates if c.effectivity.verdict is v]
+                      for v in EffectivityVerdict}
+        effective, unknown = by_verdict[EffectivityVerdict.EFFECTIVE], by_verdict[EffectivityVerdict.UNKNOWN]
+        assert (len(effective), len(unknown)) == (61, 1793) and not by_verdict[EffectivityVerdict.NOT_EFFECTIVE]
+        assert calls == [(sub if c.branch == 1 else quot) - c.divisor for c in effective]
+        shared = effectivity(quot - cfg.divisor(0, 5, (0, 0)))
+        assert shared.verdict is EffectivityVerdict.UNKNOWN
+        assert all(c.effectivity is shared for c in unknown)
