@@ -329,12 +329,10 @@ def euler_char(config: SurfaceConfig, d: DivisorClass) -> int:
 
 
 def _effectivity_run(genus: int, a: int, exc: tuple[int, ...]) -> tuple[int | None, int] | None:
-    """The effectivity rule for the run of b in a*C0 + b*F + sum(ci*Ei), exact and unchecked.
-
-    None when a < 0, where the fibre rule rules out every b.  Otherwise (lo, need):
-    b < lo is NOT_EFFECTIVE (the pushforward rule: lo = 0 on genus 0, None for no
-    bound elsewhere), b >= need = sum(max(0, -ci)) is EFFECTIVE (the cone of
-    {C0, F, Ei, F-Ei}), and UNKNOWN lies between."""
+    """The effectivity rule for the run of b in a*C0 + b*F + sum(ci*Ei), exact and unchecked:
+    None when a < 0 (the fibre rule), else (lo, need).  b < lo is NOT_EFFECTIVE (the pushforward
+    rule: lo = 0 on genus 0, None for no bound elsewhere), b >= need = sum(max(0, -ci)) is
+    EFFECTIVE (the cone of {C0, F, Ei, F-Ei}), and UNKNOWN lies between."""
     if a < 0:
         return None
     return (0 if genus == 0 else None), (sum(map(abs, exc)) - sum(exc)) // 2
@@ -344,14 +342,12 @@ _UNKNOWN = Effectivity(EffectivityVerdict.UNKNOWN)
 
 
 def effectivity(d: DivisorClass) -> Effectivity:
-    """Sound semi-decision for effectivity of a divisor class, read off
-    ``_effectivity_run(genus, a, exc)``.
+    """Sound semi-decision for effectivity, read off ``_effectivity_run(genus, a, exc)``.
 
-    EFFECTIVE carries the decomposition over {C0, F, Ei, F-Ei}, with F
-    coefficient b - need; NOT_EFFECTIVE names the violated condition.  The
-    rest is UNKNOWN, one shared answer: the full effective cone of a
-    general-point blowup is not known, so soundness wins over completeness.
-    """
+    EFFECTIVE carries the decomposition over {C0, F, Ei, F-Ei}, with F coefficient b - need,
+    and NOT_EFFECTIVE the violated condition.  The rest is one shared UNKNOWN answer: the
+    full effective cone of a general-point blowup is not known, so soundness wins over
+    completeness."""
     run = _effectivity_run(d.config.genus, d.a, d.exc)
     if run is None:
         return Effectivity(EffectivityVerdict.NOT_EFFECTIVE,

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
+from operator import sub as minus
 
 from .errors import BoxTooLargeError, checked_int
 from .lattice import (
@@ -114,11 +115,11 @@ def destabilizer_search(
     every survivor is pruned.  A certificate is relative to the box.
 
     The doubled margin is linear in A, with weights C0.L, F.L > 0 and Ei.L
-    read from ``polarization.checks``.  On a slice (a, exc), X - A has fixed
-    a and exc, so ``lattice._effectivity_run`` gives branch X one run of b
-    (none, or b <= X.b - lo) and its EFFECTIVE end b <= X.b - need, the only
-    records ``effectivity`` sees; the UNKNOWN rest share one answer.  The
-    search costs one pass over the slices plus one step per record.
+    read from ``polarization.checks``.  On a slice (a, exc), X - A has fixed a and exc,
+    so ``lattice._effectivity_run`` gives branch X one run of b (none, or b <= X.b - lo)
+    and its EFFECTIVE part b <= X.b - need, the only records ``effectivity`` sees; the
+    UNKNOWN rest share one answer.  The search costs one pass over the slices plus one
+    step per record.
 
     Pruning needs exact section counts (genus 0, no blown-up points).  For
     a general Z of length ell, I_Z(quot + kF) has no sections once
@@ -143,13 +144,15 @@ def destabilizer_search(
 
     candidates = []
     for a in range(-box.section_bound, box.section_bound + 1):
-        records = []  # (b, exc, branch, rest) with doubled margin 2b*(F.L) - rest
+        records = []  # (b, exc, branch, rest, b_eff) with doubled margin 2b*(F.L) - rest
         for exc in product(range(-box.exceptional_bound, box.exceptional_bound + 1), repeat=m):
             rest = c1_l - 2 * (a * c0_l + sum(c * w for c, w in zip(exc, exc_l)))
             b_lo = max(-box.fiber_bound, -(-rest // (2 * f_l)))  # the least b of margin >= 0
+            if b_lo > box.fiber_bound:
+                continue
             for branch, x in ((1, sub), (2, quot)):
-                run = _effectivity_run(config.genus, x.a - a, tuple(xc - c for xc, c in zip(x.exc, exc)))
-                if run is not None:  # X - A is EFFECTIVE for b <= x.b - need
+                run = _effectivity_run(config.genus, x.a - a, tuple(map(minus, x.exc, exc)))
+                if run is not None:  # X - A is EFFECTIVE for b <= b_eff = x.b - need
                     lo, need = run
                     b_hi = box.fiber_bound if lo is None else min(box.fiber_bound, x.b - lo)
                     records += [(b, exc, branch, rest, x.b - need) for b in range(b_lo, b_hi + 1)]
