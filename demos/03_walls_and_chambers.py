@@ -8,7 +8,7 @@ from ruledmoduli import (
     Polarization,
     SurfaceConfig,
     certify_dv_zero,
-    hodge_xi,
+    intersect,
     is_suitable,
     wall_search,
 )
@@ -43,7 +43,9 @@ def main():
 
     print("\nthe Hodge-index mechanism behind the certificate:")
     l_cls, zeta = cfg.divisor(3, 1), cfg.divisor(2, -1)
-    xi, xi_sq = hodge_xi(l_cls, zeta)
+    lf = intersect(l_cls, cfg.fiber())
+    xi = lf * zeta - intersect(l_cls, zeta) * cfg.fiber()
+    xi_sq = intersect(xi, xi)
     print(f"  xi = (L.F) zeta - (L.zeta) F = {xi}, xi.L = 0, xi^2 = {xi_sq} < 0")
     print("  a positive fibre degree would force such a wall, so none may exist")
 

@@ -28,13 +28,13 @@ _EXPORTS = {
         "canonical_class", "effectivity", "euler_char", "h0_hirzebruch", "intersect",
     ),
     "invariants": (
-        "ChernData", "ExtensionDatum", "ceil_div", "chern_twist", "is_extension_unique", "nagata_min_r",
-        "normalize_chern", "pushforward_degree_bound", "r0_generic", "subscheme_length",
-        "subscheme_length_from_zeta", "zeta_class",
+        "ChernData", "ExtensionDatum", "chern_twist", "is_extension_unique", "normalize_chern",
+        "pushforward_degree_bound", "r0_generic", "subscheme_length", "subscheme_length_from_zeta",
+        "zeta_class",
     ),
     "walls": (
-        "DvZeroCertificate", "Suitability", "WallClass", "WallSearch", "certify_dv_zero", "hodge_xi",
-        "is_suitable", "wall_search",
+        "DvZeroCertificate", "Suitability", "WallClass", "WallSearch", "certify_dv_zero", "is_suitable",
+        "wall_search",
     ),
     "families": (
         "Classification", "Dominance", "FamilyMaximizer", "FamilyReport", "Rationality", "ReferenceFamily",

@@ -26,14 +26,6 @@ from .errors import NegativeLengthWarning, ParityError, checked_int, checked_int
 from .lattice import DivisorClass, SurfaceConfig, _require_same_config, pairing
 
 
-def ceil_div(num: int, den: int) -> int:
-    """Exact ceiling division, rounding toward +infinity for any sign of num."""
-    checked_ints(num=num, den=den)
-    if den <= 0:
-        raise ValueError(f"denominator must be positive, got {den}")
-    return -((-num) // den)
-
-
 @dataclass(frozen=True)
 class ChernData:
     """(c1, c2) of a rank-two bundle; the discriminant 4*c2 - c1^2 is the
@@ -132,10 +124,13 @@ def r0_generic(genus: int, eta: int, c2: int) -> int:
 
     This is the balanced rounding forced by Nagata's bound on maximal
     sub-line-bundles of the pushforward to the base curve; it satisfies
-    eta - c2 - genus <= 2*r0 <= eta - c2 - genus + 1.
+    eta - c2 - genus <= 2*r0 <= eta - c2 - genus + 1.  The difference, of
+    checked ints, may leave the 64-bit range; only r0 is range-checked.
     """
     checked_ints(genus=genus, eta=eta, c2=c2)
-    return _least_r(eta - c2 - genus)
+    if genus < 0:
+        raise ValueError(f"genus must be >= 0, got {genus}")
+    return checked_int(-((c2 + genus - eta) // 2), "section degree")
 
 
 def pushforward_degree_bound(
@@ -150,22 +145,12 @@ def pushforward_degree_bound(
     multiplicities 2 and larger.
     """
     checked_ints(r=r, beta=beta, genus=genus, c2=c2)
+    if genus < 0:
+        raise ValueError(f"genus must be >= 0, got {genus}")
     if any(checked_int(qi, "q entry") < 0 for qi in q):
         raise ValueError(f"multiplicities must be >= 0, got {tuple(q)}")
     correction = sum((1 - qi) ** 2 for qi in q if qi >= 2)
     return 2 * r >= beta - genus - c2 + correction
-
-
-def nagata_min_r(pushforward_degree: int, genus: int) -> int:
-    """Least r with 2r >= pushforward_degree - genus (Nagata's bound)."""
-    checked_ints(pushforward_degree=pushforward_degree, genus=genus)
-    return _least_r(pushforward_degree - genus)
-
-
-def _least_r(bound: int) -> int:
-    """Least r with 2r >= bound.  The bound, a difference of checked ints,
-    may leave the 64-bit range; only r is range-checked."""
-    return checked_int(-(-bound // 2), "section degree")
 
 
 def chern_twist(chern: ChernData, t: DivisorClass) -> ChernData:

@@ -72,7 +72,7 @@ class SurfaceConfig:
 
     def exceptional(self, i: int) -> "DivisorClass":
         """E_i, with i running from 1 to m as in the basis labels."""
-        if not 1 <= i <= self.num_points:
+        if not 1 <= checked_int(i, "exceptional index") <= self.num_points:
             raise ValueError(f"exceptional index {i} outside 1..{self.num_points}")
         exc = [0] * self.num_points
         exc[i - 1] = 1

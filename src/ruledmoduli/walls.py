@@ -62,7 +62,7 @@ from operator import attrgetter, itemgetter
 
 from .errors import INT64_MAX, INT64_MIN, NotApplicableError, SearchBoundsError, checked_int
 from .invariants import ChernData, normalize_chern
-from .lattice import DivisorClass, Polarization, SurfaceConfig, _require_surface, intersect, pairing
+from .lattice import DivisorClass, Polarization, SurfaceConfig, _require_surface
 
 
 @dataclass(frozen=True, slots=True)
@@ -382,15 +382,3 @@ def certify_dv_zero(
         )
     witness, boundary = _decide(config, normalize_chern(chern), polarization, max_candidates)
     return DvZeroCertificate(witness is None, witness, boundary)
-
-
-def hodge_xi(L: DivisorClass, zeta: DivisorClass) -> tuple[DivisorClass, int]:
-    """The L-orthogonal combination xi = (L.F)*zeta - (L.zeta)*F and xi^2.
-
-    xi.L = 0 by construction, so the Hodge index theorem gives xi^2 <= 0
-    whenever L^2 > 0, with equality only for xi = 0; expanding,
-    xi^2 = (L.F)^2 * zeta^2 - 2 (L.F)(zeta.L)(zeta.F).
-    """
-    lf, lz = L.a, pairing(L, zeta)  # L.F = L.a; xi is the only class built
-    xi = DivisorClass(lf * zeta.a, lf * zeta.b - lz, tuple(lf * c for c in zeta.exc), L.config)
-    return xi, intersect(xi, xi)

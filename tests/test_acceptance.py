@@ -18,14 +18,12 @@ from ruledmoduli import (
     StabilityOutcome,
     SurfaceConfig,
     canonical_class,
-    ceil_div,
     chern_twist,
     classify_structure,
     destabilizer_search,
     ext1_rr,
     family_dim_c1f0,
     family_dim_c1f1,
-    hodge_xi,
     intersect,
     maximize_family_dim,
     moduli_dim,
@@ -95,7 +93,7 @@ def test_criterion_3_maximizer():
                     for eps in (0, 1):
                         c2 = 2 * n + eps
                         result = maximize_family_dim(g, eta, m, n, eps)
-                        r0 = ceil_div(eta - c2 - g, 2)
+                        r0 = -((c2 + g - eta) // 2)
                         delta = 2 * r0 - (eta - c2 - g)
                         cap = 4 * c2 + 4 * g - 3 + m
                         assert delta in (0, 1)
@@ -179,8 +177,9 @@ def test_criterion_6_hodge_identity():
         if intersect(l_cls, l_cls) <= 0:
             continue
         zeta = draw()
-        xi, xi_sq = hodge_xi(l_cls, zeta)
         lf = intersect(l_cls, cfg.fiber())
+        xi = lf * zeta - intersect(l_cls, zeta) * cfg.fiber()
+        xi_sq = intersect(xi, xi)
         assert xi_sq == lf * lf * intersect(zeta, zeta) - 2 * lf * intersect(
             zeta, l_cls
         ) * intersect(zeta, cfg.fiber())

@@ -14,10 +14,8 @@ from ruledmoduli import (
     NegativeLengthWarning,
     ParityError,
     SurfaceConfig,
-    ceil_div,
     chern_twist,
     is_extension_unique,
-    nagata_min_r,
     normalize_chern,
     pushforward_degree_bound,
     r0_generic,
@@ -38,18 +36,6 @@ def even_fiber_datum(genus, e, eta, m, c2, r1, ells):
     cfg = SurfaceConfig(genus, e, m)
     c1 = cfg.divisor(b=eta, exc=(1,) * m)
     return ExtensionDatum(d=0, r=r1, q=tuple(ells), chern=ChernData(c1, c2))
-
-
-class TestCeilDiv:
-    def test_rounds_toward_plus_infinity(self):
-        assert ceil_div(7, 2) == 4
-        assert ceil_div(-7, 2) == -3
-        assert ceil_div(-8, 2) == -4
-        assert ceil_div(0, 5) == 0
-
-    def test_rejects_nonpositive_denominator(self):
-        with pytest.raises(ValueError):
-            ceil_div(1, 0)
 
 
 class TestZetaClass:
@@ -75,7 +61,7 @@ class TestZetaClass:
            st.lists(st.integers(0, 4), max_size=3))
     def test_parity_congruent_to_c1(self, data, c2, d_extra, q_raw):
         cfg, c1 = data
-        d = ceil_div(c1.a, 2) + d_extra
+        d = -(-c1.a // 2) + d_extra
         q = tuple((q_raw + [0, 0, 0])[: cfg.num_points])
         datum = ExtensionDatum(d=d, r=-3, q=q, chern=ChernData(c1, c2))
         diff = zeta_class(datum) - c1
@@ -154,9 +140,11 @@ class TestR0:
         assert r0_generic(1, -(2**63), 2**63 - 1) == -(2**63)
         with pytest.raises(IntegerOverflowError, match="section degree"):
             r0_generic(3, -(2**63), 2**63 - 1)
-        # nagata_min_r range-checks its arguments where they enter
-        with pytest.raises(IntegerOverflowError, match="^pushforward_degree -18446744073709551616 "):
-            nagata_min_r(-(2**64), 0)
+
+    def test_negative_genus_is_refused(self):
+        # as SurfaceConfig and the family counts do
+        with pytest.raises(ValueError, match="^genus must be >= 0, got -3$"):
+            r0_generic(-3, 0, 0)
 
     @given(st.integers(0, 6), st.integers(-3, 3), st.integers(-10, 40))
     def test_bracket(self, genus, eta, c2):
@@ -179,12 +167,9 @@ class TestDegreeBound:
         with pytest.raises(ValueError):
             pushforward_degree_bound(0, 0, 0, 0, (-1,))
 
-
-class TestNagata:
-    def test_values(self):
-        assert nagata_min_r(0, 0) == 0
-        assert nagata_min_r(5, 2) == 2
-        assert nagata_min_r(-7, 1) == -4
+    def test_rejects_negative_genus(self):
+        with pytest.raises(ValueError, match="^genus must be >= 0, got -3$"):
+            pushforward_degree_bound(0, 0, -3, 0)
 
 
 class TestChernTwist:
@@ -283,7 +268,7 @@ class TestDatumTwistInvariance:
         cfg, c1 = data
         m = cfg.num_points
         t = cfg.divisor(1, -2, tuple((t_raw + [0, 0, 0])[:m]))
-        d = ceil_div(c1.a, 2) + d_extra
+        d = -(-c1.a // 2) + d_extra
         q = tuple(abs(c) for c in c1.exc)
         datum = ExtensionDatum(d, -1, q, ChernData(c1, c2))
         shifted = ExtensionDatum(

@@ -2,11 +2,14 @@ import itertools
 import json
 import re
 from dataclasses import FrozenInstanceError
+from enum import Enum
+from types import ModuleType
 
 import pytest
 from hypothesis import example, given
 import hypothesis.strategies as st
 
+import ruledmoduli
 from conftest import (
     EDGE_INTS,
     brute_effective_decomposition,
@@ -33,7 +36,6 @@ from ruledmoduli import (
     c1f0_report,
     c1f1_report,
     canonical_class,
-    ceil_div,
     certify_dv_zero,
     classify_structure,
     destabilizer_search,
@@ -47,7 +49,6 @@ from ruledmoduli import (
     is_suitable,
     maximize_family_dim,
     moduli_dim,
-    nagata_min_r,
     pushforward_degree_bound,
     r0_generic,
     reference_family_dims,
@@ -544,7 +545,7 @@ class TestValidationAndJson:
         # c2 = 2.5 used to give moduli_dim 7.0, and a length of 0.5 an ext^1 of 0.5
         cfg = SurfaceConfig(0, 1, 0)
         f, pol = cfg.fiber(), Polarization(cfg.divisor(1, 10))
-        for call, name in [
+        calls = [
             (lambda: ChernData(f, bad), "c2"),
             (lambda: ext1_rr(cfg, f, f, bad), "subscheme length"),
             (lambda: destabilizer_search(cfg, -f, 2 * f, bad, pol, SearchBox(1, 1, 0)), "subscheme length"),
@@ -553,14 +554,19 @@ class TestValidationAndJson:
             (lambda: SearchBox(2, 1, bad), "box bound"),
             (lambda: ExtensionDatum(1, 0, (bad,), ChernData(SurfaceConfig(0, 1, 1).fiber(), 1)), "q entry"),
             (lambda: family_dim_c1f0(0, 0, 1, 1, 0, 0, (bad,), 1), "ell entry"),
-        ]:
+        ]
+        for call, name in calls:
             with pytest.raises(TypeError, match=f"^{name} must be an int, got {re.escape(repr(bad))}$"):
                 call()
         # the surface, the extension datum and the family counts gate each
         # integer argument where it enters, under its own name; ungated, a
         # bool passes as 0 or 1 and a float is refused only at a result
-        for entry_point, args, names in [
+        entries = [
             (SurfaceConfig, (0, 1, 0), ("genus", "invariant_e", "num_points")),
+            (SurfaceConfig(0, 1, 2).exceptional, (1,), ("exceptional index",)),
+            (SurfaceConfig(0, 1, 2).fiber_transform, (1,), ("exceptional index",)),
+            (lambda a, b, c: DivisorClass(a, b, (c,), SurfaceConfig(0, 1, 1)), (0, 0, 0),
+             ("C0 coefficient", "F coefficient", "exceptional coefficient")),
             (lambda d, r: ExtensionDatum(d, r, (), ChernData(f, 1)), (1, 0), ("d", "r")),
             (lambda genus, eta, m, n, eps, r1, h0: family_dim_c1f0(genus, eta, m, n, eps, r1, (), h0),
              (0, 0, 0, 1, 0, 0, 1), ("genus", "eta", "m", "n", "eps", "r1", "h0")),
@@ -570,20 +576,46 @@ class TestValidationAndJson:
             (lambda eta, n, eps, r1, h0: c1f0_report(cfg, eta, n, eps, r1, (), h0),
              (1, 1, 0, 0, 1), ("eta", "n", "eps", "r1", "h0")),
             (lambda beta, c2: c1f1_report(cfg, beta, c2), (0, 1), ("beta", "c2")),
-            (ceil_div, (7, 2), ("num", "den")),
             (r0_generic, (0, 1, 2), ("genus", "eta", "c2")),
-            (nagata_min_r, (5, 2), ("pushforward_degree", "genus")),
             (lambda r, beta, genus, c2, qi: pushforward_degree_bound(r, beta, genus, c2, (qi,)),
              (0, 0, 0, 0, 1), ("r", "beta", "genus", "c2", "q entry")),
             *[(lambda n, query=query: query(cfg, ChernData(f, 2), pol, max_candidates=n),
                (100,), ("max_candidates",)) for query in (wall_search, is_suitable, certify_dv_zero)],
             (lambda n: destabilizer_search(cfg, -f, 2 * f, 0, pol, SearchBox(1, 1, 0), max_candidates=n),
              (100,), ("max_candidates",)),
-        ]:
+        ]
+        for entry_point, args, names in entries:
             entry_point(*args)
             for i, name in enumerate(names):
                 with pytest.raises(TypeError, match=f"^{name} must be an int, got {re.escape(repr(bad))}$"):
                     entry_point(*args[:i], bad, *args[i + 1:])
+        # every public name is an entry point above (a row, or a public name
+        # that a row's lambda calls), takes no integer, or is built by the
+        # package and never passed in: a new public callable needs a row
+        takes_no_int = {
+            "Polarization", "canonical_class", "chern_twist", "classify_structure", "default_box",
+            "effectivity", "euler_char", "h0_hirzebruch", "intersect", "is_extension_unique", "moduli_dim",
+            "normalize_chern", "slope_margin", "subscheme_length", "subscheme_length_from_zeta", "zeta_class",
+        }
+        records = {
+            "Classification", "DestabilizerCandidate", "DvZeroCertificate", "Effectivity", "FamilyMaximizer",
+            "FamilyReport", "ReferenceFamily", "StabilityVerdict", "Suitability", "VanishingAssumption",
+            "WallClass", "WallSearch",
+        }
+
+        def called(call):
+            if call.__name__ != "<lambda>":
+                return {call.__name__}
+            return {*call.__code__.co_names, *(default.__name__ for default in call.__defaults__ or ())}
+
+        def exempt(value):  # modules, exceptions and enums
+            kinds = (BaseException, Enum)
+            return isinstance(value, ModuleType) or isinstance(value, type) and issubclass(value, kinds)
+
+        covered = set().union(*map(called, [call for call, _ in calls] + [entry for entry, _, _ in entries]))
+        public = {name for name in ruledmoduli.__all__ if not exempt(getattr(ruledmoduli, name))}
+        listed = takes_no_int | records
+        assert (public - covered - listed, listed - public) == (set(), set())
 
     def test_tracer_can_patch_the_constructor(self):
         # bench/tracer.py wraps both methods to count the classes built

@@ -30,10 +30,10 @@ ALL = [
     "Rationality", "ReferenceFamily", "RuledModuliError", "SearchBoundsError", "SearchBox", "StabilityOutcome",
     "StabilityVerdict", "StructureKind", "Suitability", "SurfaceConfig", "UnsupportedSurfaceError",
     "VanishingAssumption", "WallClass", "WallSearch", "c1f0_report", "c1f1_report", "canonical_class",
-    "ceil_div", "certify_dv_zero", "chern_twist", "classify_structure", "default_box", "destabilizer_search",
+    "certify_dv_zero", "chern_twist", "classify_structure", "default_box", "destabilizer_search",
     "effectivity", "errors", "euler_char", "ext1_rr", "families", "family_dim_c1f0", "family_dim_c1f1",
-    "h0_hirzebruch", "hodge_xi", "intersect", "invariants", "is_extension_unique", "is_suitable", "lattice",
-    "maximize_family_dim", "moduli_dim", "nagata_min_r", "normalize_chern", "pushforward_degree_bound",
+    "h0_hirzebruch", "intersect", "invariants", "is_extension_unique", "is_suitable", "lattice",
+    "maximize_family_dim", "moduli_dim", "normalize_chern", "pushforward_degree_bound",
     "r0_generic", "reference_family_dims", "slope_margin", "stability", "subscheme_length",
     "subscheme_length_from_zeta", "wall_search", "walls", "zeta_class",
 ]

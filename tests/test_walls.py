@@ -9,7 +9,6 @@ import hypothesis.strategies as st
 
 from conftest import (
     brute_walls,
-    config_with_divisors,
     configs,
     random_chern,
     random_polarization,
@@ -26,7 +25,6 @@ from ruledmoduli import (
     SurfaceConfig,
     WallClass,
     certify_dv_zero,
-    hodge_xi,
     intersect,
     is_suitable,
     normalize_chern,
@@ -148,8 +146,9 @@ class TestEnumeration:
             assert intersect(wall.zeta, cfg.fiber()) > 0
             assert intersect(wall.zeta, pol.cls) < 0
             assert wall.ell >= 0
-            _, xi_sq = hodge_xi(pol.cls, wall.zeta)
-            assert xi_sq < 0
+            lf = intersect(pol.cls, cfg.fiber())
+            xi = lf * wall.zeta - intersect(pol.cls, wall.zeta) * cfg.fiber()
+            assert intersect(xi, xi) < 0
 
     def test_deterministic_and_sorted(self, quadric):
         # the order rests on how the walls are collected, not on a sort, so
@@ -427,36 +426,3 @@ class TestCertifyDvZero:
                 certify_dv_zero(cfg, twisted, pol).certified
                 == certify_dv_zero(cfg, chern, pol).certified
             )
-
-
-class TestHodgeXi:
-    def test_frozen_example(self):
-        cfg = SurfaceConfig(0, 0, 0)
-        xi, xi_sq = hodge_xi(cfg.divisor(3, 1), cfg.divisor(2, -1))
-        assert xi == cfg.divisor(6, -2)
-        assert xi_sq == -24
-
-    def test_fiber_parallel_collapses(self):
-        cfg = SurfaceConfig(0, 0, 0)
-        xi, xi_sq = hodge_xi(cfg.divisor(3, 1), cfg.fiber())
-        assert xi == cfg.zero() and xi_sq == 0
-
-    def test_only_xi_is_range_checked(self):
-        # (L.F)*zeta = -2C0 + 2^63 F is out of range, xi = -2C0 + F is not
-        cfg = SurfaceConfig(0, 0, 0)
-        xi, xi_sq = hodge_xi(cfg.divisor(2, 1), cfg.divisor(-1, 2**62))
-        assert xi == cfg.divisor(-2, 1) and xi_sq == -4
-        with pytest.raises(IntegerOverflowError, match="C0 coefficient 9223372036854775808"):
-            hodge_xi(cfg.divisor(2, 1), cfg.divisor(2**62))
-
-    @given(config_with_divisors(count=2, lo=-6, hi=6))
-    def test_expansion_identity_and_orthogonality(self, data):
-        cfg, l_cls, zeta = data
-        xi, xi_sq = hodge_xi(l_cls, zeta)
-        lf = intersect(l_cls, cfg.fiber())
-        zl = intersect(zeta, l_cls)
-        zf = intersect(zeta, cfg.fiber())
-        assert xi_sq == lf * lf * intersect(zeta, zeta) - 2 * lf * zl * zf
-        assert intersect(xi, l_cls) == 0
-        if intersect(l_cls, l_cls) > 0:
-            assert xi_sq <= 0
