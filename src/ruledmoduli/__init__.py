@@ -29,8 +29,7 @@ _EXPORTS = {
     ),
     "invariants": (
         "ChernData", "ExtensionDatum", "chern_twist", "is_extension_unique", "normalize_chern",
-        "pushforward_degree_bound", "r0_generic", "subscheme_length", "subscheme_length_from_zeta",
-        "zeta_class",
+        "pushforward_degree_bound", "r0_generic", "subscheme_length", "zeta_class",
     ),
     "walls": (
         "DvZeroCertificate", "Suitability", "WallClass", "WallSearch", "certify_dv_zero", "is_suitable",

@@ -88,7 +88,7 @@ def zeta_class(datum: ExtensionDatum) -> DivisorClass:
     return DivisorClass(2 * datum.d - c1.a, 2 * datum.r - c1.b, exc, c1.config)
 
 
-def subscheme_length_from_zeta(chern: ChernData, zeta: DivisorClass) -> int:
+def _subscheme_length_from_zeta(chern: ChernData, zeta: DivisorClass) -> int:
     """Length c2 + (zeta^2 - c1^2)/4 of the vanishing subscheme.
 
     Requires zeta congruent to c1 mod 2 componentwise, which makes the
@@ -116,7 +116,7 @@ def subscheme_length_from_zeta(chern: ChernData, zeta: DivisorClass) -> int:
 
 def subscheme_length(datum: ExtensionDatum) -> int:
     """Length of the vanishing subscheme attached to an extension datum."""
-    return subscheme_length_from_zeta(datum.chern, zeta_class(datum))
+    return _subscheme_length_from_zeta(datum.chern, zeta_class(datum))
 
 
 def r0_generic(genus: int, eta: int, c2: int) -> int:

@@ -20,11 +20,17 @@ bounds are rederived in the test suite against a brute-force scan.
 One private kernel, ``_slices``, walks the (a, c) slices of that region on
 plain integers, holds the only copy of these bounds, and flags the slice
 whose last b is its boundary class (zeta.L = 0 happens nowhere else);
-``_boundary`` is the one place that builds that class.  ``wall_search``
-walks each run up to it and builds one wall per result, so it costs one
-pass over the slices plus one step per emitted class.  Each wall is two
-slotted objects, a ``WallClass`` and its ``zeta``, sharing its slice's exc
-tuple, and the walls are emitted in (a, b, exc) order, one a at a time.
+``_boundary`` is the one place that carries a run to that class.  One
+ordering walk, ``_ordered_walls``, walks each run up to it and emits the
+walls and boundary classes in (a, b, exc) order, one a at a time, so it
+costs one pass over the slices plus one step per emitted class.  What it
+emits is up to its caller's per-run builder, called once per slice with
+(a, exc), which returns the maker of one class from its (b, zeta^2, length,
+zeta.L).  ``wall_search`` passes the object builder, ``_wall_objects``:
+each wall is two slotted objects, a ``WallClass`` and its ``zeta``, sharing
+its slice's exc tuple.  The CLI's ``walls`` handler passes a text builder
+and builds no object per wall: every value it writes is one that
+``_slices`` range-checks or that lies in the wall window.
 ``is_suitable`` and ``certify_dv_zero`` never walk a run: the first b of a
 slice decides whether it holds a separating wall, so a decision costs one
 pass over the slices.  On g=0, e=1, m=3, L=3C0+7F-sum Ei, c1=F+sum Ei,
@@ -32,7 +38,7 @@ c2=80 that is 7,211 non-empty slices against 69,485 emitted classes.  The
 decision witness is the first separating wall in (a, b, exc) order, which
 is ``wall_search(...).walls[0]``, else the first boundary class.
 ``max_candidates`` budgets every prefix of c the kernel visits (8,144
-there) and, in ``wall_search``, every b of each run (69,485 more).  The
+there) and, in the ordering walk, every b of each run (69,485 more).  The
 kernel walks the last coefficient of c as a range and range-checks only
 what can leave the 64-bit range: once per a, the bound a + isqrt(disc) + 1
 on a and every c_i; per slice, the ends of its run of b and zeta.L at the
@@ -40,10 +46,12 @@ first b.  zeta^2 and the length lie in the window, so never need a check.
 
 ``wall_search`` builds its result with the cyclic garbage collector paused
 and afterwards restores the state it found (enabled or not); this is the
-only place the package touches ``gc``.  The pause is sound because the build
-makes only acyclic objects: each ``WallClass`` holds its ``zeta`` and ints,
-each ``zeta`` holds ints, its slice's exc tuple and the ``SurfaceConfig``,
-so a cyclic collection during the build could free nothing it made.  A
+only place the package touches ``gc``; the CLI's text walk makes no
+tracked object per wall and does not pause it.  The pause is sound because
+the build makes only acyclic objects: each ``WallClass`` holds its ``zeta``
+and ints, each ``zeta`` holds ints, its slice's exc tuple and the
+``SurfaceConfig``, so a cyclic collection during the build could free
+nothing it made.  A
 running collector would walk the growing result about two hundred times in
 one search on that surface at c2=80, and each full collection the caller's
 whole heap too, so a search's cost would grow with the results the caller
@@ -58,11 +66,14 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import groupby
 from math import isqrt
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .errors import INT64_MAX, INT64_MIN, NotApplicableError, SearchBoundsError, checked_int
 from .invariants import ChernData, normalize_chern
 from .lattice import DivisorClass, Polarization, SurfaceConfig, _require_surface
+
+
+_BUDGET = 2_000_000  # the default max_candidates of the searches and decisions
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,18 +85,6 @@ class WallClass:
     ell: int
     zF: int
     zL: int
-
-    @classmethod
-    def _unchecked(cls, zeta: DivisorClass, zeta_sq: int, ell: int, zF: int, zL: int) -> "WallClass":
-        """Build a wall by filling its slots through their member descriptors,
-        for the engines, which compute every field themselves."""
-        self = object.__new__(cls)
-        _set_zeta(self, zeta)
-        _set_zeta_sq(self, zeta_sq)
-        _set_ell(self, ell)
-        _set_zF(self, zF)
-        _set_zL(self, zL)
-        return self
 
 
 _set_zeta, _set_zeta_sq, _set_ell, _set_zF, _set_zL = (
@@ -251,17 +250,14 @@ def wall_search(
     chern: ChernData,
     polarization: Polarization,
     *,
-    max_candidates: int = 2_000_000,
+    max_candidates: int = _BUDGET,
 ) -> WallSearch:
     """Enumerate every wall zeta with zeta.F > 0 and zeta.L <= 0.
 
-    Deterministic: results are emitted in (a, b, exc) order.  The slices of
-    one a come in exc order, so their walls are collected in one bucket per
-    b, emptied in increasing b, and their boundary classes are sorted by b.
-    A slice's run is walked up to the step before its boundary class, so no
-    walked wall is tested against L.  The cost is one pass over the slices
-    plus one step per emitted class, and each class is two slotted objects,
-    its ``WallClass`` and its ``zeta``, around the exc tuple of its slice.
+    Deterministic: results are emitted in (a, b, exc) order, by
+    ``_ordered_walls``.  The cost is one pass over the slices plus one step
+    per emitted class, and each class is two slotted objects, its
+    ``WallClass`` and its ``zeta``, around the exc tuple of its slice.
     Raises SearchBoundsError with the offending budget when the visited exc
     prefixes plus the b candidates of the runs exceed ``max_candidates``, so
     callers can fall back to the brute-force oracle.
@@ -270,42 +266,82 @@ def wall_search(
     acyclic objects, and its state on entry is restored on return or raise,
     so the call's cost does not depend on how large the caller's heap is.
     """
-    p = polarization.cls.a
-    new_class, new_wall = DivisorClass._unchecked, WallClass._unchecked
-    walls: list[WallClass] = []
-    boundary: list[WallClass] = []
     collecting = gc.isenabled()
     gc.disable()
     try:
-        slices = _slices(config, chern, polarization, max_candidates, walk_runs=True)
-        for a, group in groupby(slices, itemgetter(0)):
-            walls_at: defaultdict[int, list[WallClass]] = defaultdict(list)  # b -> walls of this a
-            boundary_of_a: list[WallClass] = []
-            for _, exc, b, b_last, z_sq, ell, z_l, on_boundary in group:
-                if on_boundary:
-                    boundary_of_a.append(_boundary(config, a, exc, b, b_last, z_sq, ell))
-                    b_last -= 2
-                while b <= b_last:
-                    walls_at[b].append(new_wall(new_class(a, b, exc, config), z_sq, ell, a, z_l))
-                    b += 2
-                    z_sq += 4 * a
-                    ell += a
-                    z_l += 2 * p
-            for b in sorted(walls_at):
-                walls += walls_at[b]
-            boundary += sorted(boundary_of_a, key=attrgetter("zeta.b"))
+        walls, boundary = _ordered_walls(config, chern, polarization, max_candidates, _wall_objects(config))
         return WallSearch(tuple(walls), tuple(boundary))
     finally:
         if collecting:
             gc.enable()
 
 
-def _boundary(config, a, exc, b, b_last, z_sq, ell):
-    """The boundary class (zeta.L = 0) of a slice flagged by ``_slices``: the
-    class at b_last, with zeta^2 and length carried there in closed form."""
+def _wall_objects(config):
+    """The per-run builder of ``wall_search`` and the decisions: for the slice
+    (a, exc), the maker of one ``WallClass`` per wall, around a fresh zeta
+    that shares the slice's exc tuple.  The maker fills the wall's slots
+    through their member descriptors, which skips the frozen ``__setattr__``
+    and the ``__init__`` call: the engines compute every field themselves."""
+    new_class = DivisorClass._unchecked
+
+    def builder(a, exc):
+        def make(b, z_sq, ell, z_l):
+            wall = object.__new__(WallClass)
+            _set_zeta(wall, new_class(a, b, exc, config))
+            _set_zeta_sq(wall, z_sq)
+            _set_ell(wall, ell)
+            _set_zF(wall, a)
+            _set_zL(wall, z_l)
+            return wall
+
+        return make
+
+    return builder
+
+
+def _ordered_walls(config, chern, polarization, max_candidates, builder):
+    """(walls, boundary) of the wall search as two lists, in (a, b, exc) order,
+    each class made by its run's maker.
+
+    ``builder(a, exc)`` is called once per slice and returns the maker, which
+    takes (b, zeta^2, length, zeta.L) of one class of the run (zeta.F is a).
+    The slices of one a come in exc order, so their walls are collected in
+    one bucket per b and emptied in increasing b, and so are their boundary
+    classes.  A slice's run is walked up to the step before its boundary
+    class, so no walked wall is tested against L.  Every value a maker
+    receives is range-checked by ``_slices`` (the ends of b, zeta.L at the
+    first b) or lies in the wall window (zeta^2, the length), so a maker may
+    write it unchecked.  The budget is that of ``wall_search``.
+    """
+    p = polarization.cls.a
+    walls, boundary = [], []
+    slices = _slices(config, chern, polarization, max_candidates, walk_runs=True)
+    for a, group in groupby(slices, itemgetter(0)):
+        walls_at, boundary_at = defaultdict(list), defaultdict(list)  # b -> classes of this a
+        for _, exc, b, b_last, z_sq, ell, z_l, on_boundary in group:
+            make = builder(a, exc)
+            if on_boundary:
+                boundary_at[b_last].append(_boundary(make, a, b, b_last, z_sq, ell))
+                b_last -= 2
+            while b <= b_last:
+                walls_at[b].append(make(b, z_sq, ell, z_l))
+                b += 2
+                z_sq += 4 * a
+                ell += a
+                z_l += 2 * p
+        for b in sorted(walls_at):
+            walls += walls_at[b]
+        for b in sorted(boundary_at):
+            boundary += boundary_at[b]
+    return walls, boundary
+
+
+def _boundary(make, a, b, b_last, z_sq, ell):
+    """The boundary class (zeta.L = 0) of a slice flagged by ``_slices``, made
+    by its run's maker at b_last, with zeta^2 and length carried there in
+    closed form."""
     steps = (b_last - b) // 2
-    zeta = DivisorClass._unchecked(a, b_last, exc, config)
-    return WallClass._unchecked(zeta, z_sq + 4 * a * steps, ell + a * steps, a, 0)
+    return make(b_last, z_sq + 4 * a * steps, ell + a * steps, 0)
 
 
 def _decide(config, chern, polarization, max_candidates):
@@ -316,23 +352,25 @@ def _decide(config, chern, polarization, max_candidates):
     those classes with the least b, which is ``wall_search(...).walls[0]``;
     failing that, it is the first boundary class.  ``boundary`` is complete
     and in the enumeration's order, built like it by ``_boundary`` and
-    sorted by b within each a.  The budget counts the visited exc prefixes
+    bucketed by b within each a.  The budget counts the visited exc prefixes
     only.
     """
+    builder = _wall_objects(config)
     witness = None
     boundary: list[WallClass] = []
     slices = _slices(config, chern, polarization, max_candidates, walk_runs=False)
     for a, group in groupby(slices, itemgetter(0)):
         first = None  # the separating wall of least b in this a, if none came before
-        boundary_of_a: list[WallClass] = []
+        boundary_at = defaultdict(list)  # b -> boundary classes of this a
         for _, exc, b, b_last, z_sq, ell, z_l, on_boundary in group:
             if z_l < 0 and witness is None and (first is None or b < first.zeta.b):
-                first = WallClass._unchecked(DivisorClass._unchecked(a, b, exc, config), z_sq, ell, a, z_l)
+                first = builder(a, exc)(b, z_sq, ell, z_l)
             if on_boundary:
-                boundary_of_a.append(_boundary(config, a, exc, b, b_last, z_sq, ell))
+                boundary_at[b_last].append(_boundary(builder(a, exc), a, b, b_last, z_sq, ell))
         if witness is None:
             witness = first
-        boundary += sorted(boundary_of_a, key=attrgetter("zeta.b"))
+        for b in sorted(boundary_at):
+            boundary += boundary_at[b]
     if witness is None and boundary:
         witness = boundary[0]
     return witness, tuple(boundary)
@@ -343,7 +381,7 @@ def is_suitable(
     chern: ChernData,
     polarization: Polarization,
     *,
-    max_candidates: int = 2_000_000,
+    max_candidates: int = _BUDGET,
 ) -> Suitability:
     """Whether L sits in a chamber whose closure contains the fibre ray.
 
@@ -363,7 +401,7 @@ def certify_dv_zero(
     chern: ChernData,
     polarization: Polarization,
     *,
-    max_candidates: int = 2_000_000,
+    max_candidates: int = _BUDGET,
 ) -> DvZeroCertificate:
     """Certify that stable bundles with these invariants split with degree 0
     on a general fibre.

@@ -1,6 +1,8 @@
 import argparse
 import ast
+import dataclasses
 import gc
+import inspect
 import json
 import random
 from pathlib import Path
@@ -11,9 +13,12 @@ import hypothesis.strategies as st
 
 import ruledmoduli
 from conftest import random_chern, random_polarization
-from ruledmoduli import ChernData, ExtensionDatum, Polarization, SurfaceConfig, WallClass, c1f1_report, wall_search
-from ruledmoduli.cli import (COMMANDS, _DIVISOR_DOC, _WALL_DOC, _c1f1, _canonical, _certify_dv0, _parse, _schema,
-                             _stability, _suitable, _wall_text, build_parser, run)
+from ruledmoduli import (ChernData, ExtensionDatum, Polarization, SearchBoundsError, SurfaceConfig, WallClass,
+                         c1f1_report, certify_dv_zero, is_suitable, wall_search)
+from ruledmoduli import walls
+from ruledmoduli.cli import (COMMANDS, _DIVISOR_DOC, _WALL_DOC, _JSONText, _c1f1, _canonical, _certify_dv0, _parse,
+                             _schema, _stability, _suitable, _wall_json, _wall_writer, _walls, build_parser, run)
+from ruledmoduli.errors import IntegerOverflowError
 
 CONFIG_00 = '{"genus":0,"e":0,"points":0}'
 CONFIG_G2 = '{"genus":2,"e":1,"points":0}'
@@ -308,9 +313,10 @@ def small_searches():
 
 
 class TestCanonicalWriter:
-    """cli writes every document with one canonical writer, which writes walls
-    straight from their fields; its text is that of the sorted, compact
-    ``json.dumps`` of the document with each wall as a dict."""
+    """cli writes every document with one canonical writer; the wall handlers
+    write their walls as text, the ``walls`` handler straight from the slice
+    kernel's runs.  The text is that of the sorted, compact ``json.dumps`` of
+    the document with each wall of the library's result as a dict."""
 
     def test_golden_documents_are_written_again_byte_for_byte(self):
         assert len(GOLDEN_DOCS) >= 37  # every transcript that prints a document
@@ -322,23 +328,49 @@ class TestCanonicalWriter:
         assert _canonical(value) == dumps(value)
 
     def test_anchor_walls_are_written_as_their_dict_encoding(self):
+        """The runs writer and the object maker give the same document."""
         search = wall_search(ANCHOR, ChernData(ANCHOR_C1, 40), Polarization(ANCHOR_L))
         assert (len(search.walls), len(search.boundary)) == (9285, 592)
         for wall in search.walls + search.boundary:
-            assert _wall_text(wall) == dumps(dict_encoding(wall))
-        doc = {"walls": search.walls, "boundary": search.boundary}
-        assert_same_text(_canonical(doc), dumps(dict_encoding(doc)))
+            assert _wall_json(wall) == dumps(dict_encoding(wall))
+        doc, notes = _walls(ANCHOR, ANCHOR_C1, 40, ANCHOR_L)
+        assert notes == []
+        want = {"walls": search.walls, "boundary": search.boundary, "excluded_negative_length": 0}
+        assert_same_text(_canonical(doc), dumps(dict_encoding(want)))
 
     def test_small_searches_are_written_as_their_dict_encoding(self):
         written = [0] * 4
         for cfg, chern, pol in small_searches():
             search = wall_search(cfg, chern, pol)
-            for wall in search.walls + search.boundary:
-                assert _wall_text(wall) == dumps(dict_encoding(wall))
-            doc = {"walls": search.walls, "boundary": search.boundary}
-            assert_same_text(_canonical(doc), dumps(dict_encoding(doc)))
+            doc, _ = _walls(cfg, chern.c1, chern.c2, pol.cls)
+            want = {"walls": search.walls, "boundary": search.boundary, "excluded_negative_length": 0}
+            assert_same_text(_canonical(doc), dumps(dict_encoding(want)))
             written[cfg.num_points] += len(search.walls) + len(search.boundary)
         assert all(written), written  # m = 0, with "exc":[], included
+
+    def test_the_runs_writer_has_the_budget_of_wall_search(self, monkeypatch, capsys):
+        """Both makers walk the same runs, so the CLI's walls stop at the
+        budget where wall_search stops."""
+        assert inspect.signature(wall_search).parameters["max_candidates"].default == walls._BUDGET
+        cfg, chern, pol = SurfaceConfig(0, 1, 3), ChernData(ANCHOR_C1, 12), Polarization(ANCHOR_L)
+        lo, hi = 0, 10_000  # the least budget wall_search passes with lies in (lo, hi]
+        wall_search(cfg, chern, pol, max_candidates=hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                wall_search(cfg, chern, pol, max_candidates=mid)
+                hi = mid
+            except SearchBoundsError:
+                lo = mid
+        with pytest.raises(SearchBoundsError) as raised:
+            wall_search(cfg, chern, pol, max_candidates=lo)
+        argv = [*ANCHOR_ARGV[:6], "12", *ANCHOR_ARGV[7:]]
+        monkeypatch.setattr(walls, "_BUDGET", lo)
+        code, out, _ = invoke(capsys, argv)
+        assert code == 1
+        assert json.loads(out)["error"] == {"type": "SearchBoundsError", "message": str(raised.value)}
+        monkeypatch.setattr(walls, "_BUDGET", hi)
+        assert result_of(capsys, argv)["result"]["walls"]
 
     @pytest.mark.parametrize("config,c1,c2,polarization,witness,boundary", [
         (SurfaceConfig(0, 0, 0), (0, 1, ()), 2, (1, 3, ()), False, 0),
@@ -349,32 +381,44 @@ class TestCanonicalWriter:
     def test_decision_documents_are_written_as_their_dict_encoding(self, config, c1, c2, polarization,
                                                                    witness, boundary):
         args = (config, config.divisor(*c1), c2, config.divisor(*polarization))
-        for handler in (_suitable, _certify_dv0):
+        chern, pol = ChernData(args[1], c2), Polarization(args[3])
+        verdict, certificate = is_suitable(config, chern, pol), certify_dv_zero(config, chern, pol)
+        assert ((verdict.witness is not None), len(verdict.boundary)) == (witness, boundary)
+        wants = {
+            _suitable: {"suitable": verdict.suitable, "witness": verdict.witness, "boundary": verdict.boundary},
+            _certify_dv0: {"certified": certificate.certified, "d": certificate.d_value,
+                           "witness": certificate.separating_wall},
+        }
+        for handler, want in wants.items():
             doc, _ = handler(*args)
             assert (doc["witness"] is not None) == witness
-            assert_same_text(_canonical(doc), dumps(dict_encoding(doc)))
-        doc, _ = _suitable(*args)
-        assert len(doc["boundary"]) == boundary
+            assert_same_text(_canonical(doc), dumps(dict_encoding(want)))
 
     def test_wall_text_has_the_schema_keys(self):
-        search = wall_search(ANCHOR, ChernData(ANCHOR_C1, 8), Polarization(ANCHOR_L))
-        assert search.walls
-        doc = json.loads(_wall_text(search.walls[0]))
+        doc = json.loads(_wall_writer(2, (1, -1, 0))(-1, -8, 1, -3))
         assert doc.keys() == _WALL_DOC.keys()
         assert doc["zeta"].keys() == _DIVISOR_DOC.keys()
+        assert doc == {"zeta": {"a": 2, "b": -1, "exc": [1, -1, 0]}, "zeta_sq": -8, "ell": 1, "zF": 2, "zL": -3}
 
     def test_only_walls_are_written_as_walls(self):
-        search = wall_search(ANCHOR, ChernData(ANCHOR_C1, 8), Polarization(ANCHOR_L))
-        wall = search.walls[0]
+        """Pre-written JSON text is the writer's one special case: it is copied
+        as it is, but only as a dict's value, so only a handler puts it in."""
+        text = _wall_writer(2, (1, -1))(-1, -8, 1, -3)
+        assert _canonical(_JSONText(text)) == text
+        assert _canonical({"w": _JSONText(f"[{text}]"), "x": 1}) == f'{{"w":[{text}],"x":1}}'
+        assert _canonical(text) == dumps(text)  # a plain str is a JSON string
+        assert _canonical([_JSONText(text)]) == dumps([text])
         assert _canonical(()) == "[]"
-        assert _canonical((1, "a", None)) == '[1,"a",null]'
-        assert _canonical({"w": (wall,), "x": wall}) == f'{{"w":[{_wall_text(wall)}],"x":{_wall_text(wall)}}}'
-        assert _canonical({"w": (wall, wall)}) == '{"w":[' + _wall_text(wall) + "," + _wall_text(wall) + "]}"
-        for mixed in ((wall, 1), [wall]):  # only a tuple of walls, as the engine returns it
+        wall = wall_search(ANCHOR, ChernData(ANCHOR_C1, 8), Polarization(ANCHOR_L)).walls[0]
+        for value in (wall, (wall,), {"w": (wall,)}):  # wall objects are not JSON values
             with pytest.raises(TypeError, match="WallClass is not JSON serializable"):
-                _canonical(mixed)
-        with pytest.raises(TypeError, match="is not JSON serializable"):
-            _canonical(type("WallClass", (), {"zeta": wall.zeta})())
+                _canonical(value)
+
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1, [0, [2**64]], {"x": [{"y": (-(2**70),)}]}])
+    def test_an_integer_outside_the_range_is_refused(self, value):
+        with pytest.raises(IntegerOverflowError, match="exceeds the signed 64-bit range"):
+            _canonical({"result": value})
+        assert _canonical([2**63 - 1, -(2**63), True]) == dumps([2**63 - 1, -(2**63), True])
 
     def test_walls_start_few_collections(self, capsys):
         """Written from the walls' fields, the c2 = 40 anchor document builds
@@ -516,6 +560,21 @@ class TestErrorPaths:
         code, out, _ = invoke(capsys, ["--output", str(path), "rr", "--config", "{not json", "--divisor", FIBER])
         assert code == 2 and out == ""
         assert not path.exists()
+
+    @pytest.mark.parametrize("result", [{"chi": 2**63}, {"candidates": [{"slope_margin": [-(2**63) - 1, 2]}]}])
+    def test_out_of_range_result_integer_is_domain_error(self, capsys, tmp_path, monkeypatch, result):
+        """The writer's range check backs up the engines' checks: a result
+        integer outside the range becomes an error document, written whole."""
+        monkeypatch.setitem(COMMANDS, "rr", dataclasses.replace(COMMANDS["rr"], handler=lambda **_: (result, [])))
+        argv = ["rr", "--config", CONFIG_G2, "--divisor", FIBER]
+        path = tmp_path / "out.json"
+        for prefix in ([], ["--output", str(path)]):
+            code, out, err = invoke(capsys, [*prefix, *argv])
+            assert code == 1 and err == ""
+            doc = json.loads(path.read_text() if prefix else out)
+            assert doc["status"] == "error"
+            assert doc["error"]["type"] == "IntegerOverflowError"
+        assert out == ""
 
     def test_out_of_range_slope_margin_is_domain_error(self, capsys):
         code, out, _ = invoke(

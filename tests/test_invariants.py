@@ -20,9 +20,9 @@ from ruledmoduli import (
     pushforward_degree_bound,
     r0_generic,
     subscheme_length,
-    subscheme_length_from_zeta,
     zeta_class,
 )
+from ruledmoduli.invariants import _subscheme_length_from_zeta
 
 
 def odd_fiber_datum(genus, e, beta, rho, c2):
@@ -94,7 +94,7 @@ class TestSubschemeLength:
         cfg = SurfaceConfig(0, 1, 0)
         chern = ChernData(cfg.fiber(), 2)
         with pytest.raises(ParityError):
-            subscheme_length_from_zeta(chern, cfg.divisor(1, 1))
+            _subscheme_length_from_zeta(chern, cfg.divisor(1, 1))
 
     def test_parity_is_read_off_the_coordinates(self):
         # zeta - c1 = (2^64 - 2)C0 is out of range, but on F_0 both squares

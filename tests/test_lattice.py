@@ -52,9 +52,9 @@ from ruledmoduli import (
     pushforward_degree_bound,
     r0_generic,
     reference_family_dims,
-    subscheme_length_from_zeta,
     wall_search,
 )
+from ruledmoduli.invariants import _subscheme_length_from_zeta
 
 
 class TestIntersection:
@@ -96,7 +96,7 @@ class TestIntersection:
                 (lambda: d - d_away, pair),
                 (lambda: euler_char(away, d), "divisor does not live on the given surface"),
                 (lambda: h0_hirzebruch(away, d), "divisor does not live on the given surface"),
-                (lambda: subscheme_length_from_zeta(chern, away.divisor(1, 1)),
+                (lambda: _subscheme_length_from_zeta(chern, away.divisor(1, 1)),
                  f"classes live on different surfaces: {away} vs {cfg}"),
                 (lambda: moduli_dim(away, chern), "Chern data does not live on the given surface"),
                 (lambda: classify_structure(away, chern), "Chern data does not live on the given surface"),
@@ -595,7 +595,7 @@ class TestValidationAndJson:
         takes_no_int = {
             "Polarization", "canonical_class", "chern_twist", "classify_structure", "default_box",
             "effectivity", "euler_char", "h0_hirzebruch", "intersect", "is_extension_unique", "moduli_dim",
-            "normalize_chern", "slope_margin", "subscheme_length", "subscheme_length_from_zeta", "zeta_class",
+            "normalize_chern", "slope_margin", "subscheme_length", "zeta_class",
         }
         records = {
             "Classification", "DestabilizerCandidate", "DvZeroCertificate", "Effectivity", "FamilyMaximizer",

@@ -34,8 +34,8 @@ ALL = [
     "effectivity", "errors", "euler_char", "ext1_rr", "families", "family_dim_c1f0", "family_dim_c1f1",
     "h0_hirzebruch", "intersect", "invariants", "is_extension_unique", "is_suitable", "lattice",
     "maximize_family_dim", "moduli_dim", "normalize_chern", "pushforward_degree_bound",
-    "r0_generic", "reference_family_dims", "slope_margin", "stability", "subscheme_length",
-    "subscheme_length_from_zeta", "wall_search", "walls", "zeta_class",
+    "r0_generic", "reference_family_dims", "slope_margin", "stability", "subscheme_length", "wall_search",
+    "walls", "zeta_class",
 ]
 
 CONFIG_00 = '{"genus":0,"e":0,"points":0}'

@@ -28,10 +28,10 @@ from ruledmoduli import (
     intersect,
     is_suitable,
     normalize_chern,
-    subscheme_length_from_zeta,
     wall_search,
 )
-from ruledmoduli.walls import _slices
+from ruledmoduli.invariants import _subscheme_length_from_zeta
+from ruledmoduli.walls import _slices, _wall_objects
 
 
 @st.composite
@@ -271,7 +271,7 @@ class TestEnumeration:
             checked = cfg.divisor(zeta.a, zeta.b, zeta.exc)
             assert zeta == checked and hash(zeta) == hash(checked)
             # the kernel's closed forms agree with the object-level reference
-            assert wall.ell == subscheme_length_from_zeta(chern, zeta)
+            assert wall.ell == _subscheme_length_from_zeta(chern, zeta)
             assert wall.zeta_sq == intersect(zeta, zeta)
             assert wall.zF == intersect(zeta, cfg.fiber())
             assert wall.zL == intersect(zeta, pol.cls)
@@ -332,7 +332,7 @@ class TestWallClass:
         cfg = SurfaceConfig(0, 1, 2)
         zeta = cfg.divisor(2, -1, (1, -1))
         built = WallClass(zeta, -8, 1, 2, -3)
-        fast = WallClass._unchecked(DivisorClass._unchecked(2, -1, (1, -1), cfg), -8, 1, 2, -3)
+        fast = _wall_objects(cfg)(2, (1, -1))(-1, -8, 1, -3)
         assert fast == built and hash(fast) == hash(built)
         assert fast != WallClass(zeta, -8, 1, 2, -1)
         for wall in (built, fast):
