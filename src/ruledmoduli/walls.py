@@ -51,12 +51,11 @@ tracked object per wall and does not pause it.  The pause is sound because
 the build makes only acyclic objects: each ``WallClass`` holds its ``zeta``
 and ints, each ``zeta`` holds ints, its slice's exc tuple and the
 ``SurfaceConfig``, so a cyclic collection during the build could free
-nothing it made.  A
-running collector would walk the growing result about two hundred times in
-one search on that surface at c2=80, and each full collection the caller's
-whole heap too, so a search's cost would grow with the results the caller
-keeps.  The caller's next young-generation collection makes one pass over
-the new walls.
+nothing it made.  A running collector would walk the growing result about
+two hundred times in one search on that surface at c2=80, and each full
+collection the caller's whole heap too, so a search's cost would grow with
+the results the caller keeps.  The caller's next young-generation
+collection makes one pass over the new walls.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import groupby
 from math import isqrt
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .errors import INT64_MAX, INT64_MIN, NotApplicableError, SearchBoundsError, checked_int
 from .invariants import ChernData, normalize_chern
@@ -352,7 +351,7 @@ def _decide(config, chern, polarization, max_candidates):
     those classes with the least b, which is ``wall_search(...).walls[0]``;
     failing that, it is the first boundary class.  ``boundary`` is complete
     and in the enumeration's order, built like it by ``_boundary`` and
-    bucketed by b within each a.  The budget counts the visited exc prefixes
+    sorted by b within each a.  The budget counts the visited exc prefixes
     only.
     """
     builder = _wall_objects(config)
@@ -361,16 +360,15 @@ def _decide(config, chern, polarization, max_candidates):
     slices = _slices(config, chern, polarization, max_candidates, walk_runs=False)
     for a, group in groupby(slices, itemgetter(0)):
         first = None  # the separating wall of least b in this a, if none came before
-        boundary_at = defaultdict(list)  # b -> boundary classes of this a
+        boundary_of_a: list[WallClass] = []
         for _, exc, b, b_last, z_sq, ell, z_l, on_boundary in group:
             if z_l < 0 and witness is None and (first is None or b < first.zeta.b):
                 first = builder(a, exc)(b, z_sq, ell, z_l)
             if on_boundary:
-                boundary_at[b_last].append(_boundary(builder(a, exc), a, b, b_last, z_sq, ell))
+                boundary_of_a.append(_boundary(builder(a, exc), a, b, b_last, z_sq, ell))
         if witness is None:
             witness = first
-        for b in sorted(boundary_at):
-            boundary += boundary_at[b]
+        boundary += sorted(boundary_of_a, key=attrgetter("zeta.b"))
     if witness is None and boundary:
         witness = boundary[0]
     return witness, tuple(boundary)

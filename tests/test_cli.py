@@ -421,9 +421,10 @@ class TestCanonicalWriter:
         assert _canonical([2**63 - 1, -(2**63), True]) == dumps([2**63 - 1, -(2**63), True])
 
     def test_walls_start_few_collections(self, capsys):
-        """Written from the walls' fields, the c2 = 40 anchor document builds
-        no container per wall, so the collector barely runs (the dict
-        encoding started 44 collections)."""
+        """Written from the slice kernel's runs, the c2 = 40 anchor document
+        builds no object or container per wall, so the collector barely runs
+        although the CLI path does not pause it (the dict encoding started
+        44 collections)."""
         started = []
 
         def record(phase, info):
