@@ -281,11 +281,11 @@ def _wall_objects(config):
     that shares the slice's exc tuple.  The maker fills the wall's slots
     through their member descriptors, which skips the frozen ``__setattr__``
     and the ``__init__`` call: the engines compute every field themselves."""
-    new_class = DivisorClass._unchecked
+    new_class, new = DivisorClass._unchecked, object.__new__
 
     def builder(a, exc):
         def make(b, z_sq, ell, z_l):
-            wall = object.__new__(WallClass)
+            wall = new(WallClass)
             _set_zeta(wall, new_class(a, b, exc, config))
             _set_zeta_sq(wall, z_sq)
             _set_ell(wall, ell)
@@ -317,6 +317,7 @@ def _ordered_walls(config, chern, polarization, max_candidates, builder):
     slices = _slices(config, chern, polarization, max_candidates, walk_runs=True)
     for a, group in groupby(slices, itemgetter(0)):
         walls_at, boundary_at = defaultdict(list), defaultdict(list)  # b -> classes of this a
+        step_sq, step_l = 4 * a, 2 * p  # zeta^2 and zeta.L per step of 2 in b
         for _, exc, b, b_last, z_sq, ell, z_l, on_boundary in group:
             make = builder(a, exc)
             if on_boundary:
@@ -325,9 +326,9 @@ def _ordered_walls(config, chern, polarization, max_candidates, builder):
             while b <= b_last:
                 walls_at[b].append(make(b, z_sq, ell, z_l))
                 b += 2
-                z_sq += 4 * a
+                z_sq += step_sq
                 ell += a
-                z_l += 2 * p
+                z_l += step_l
         for b in sorted(walls_at):
             walls += walls_at[b]
         for b in sorted(boundary_at):
