@@ -1,8 +1,8 @@
 """Command-line front door: JSON in, one deterministic JSON document out.
 
-Every subcommand reads the surface and any divisor-valued payloads as JSON
-(variable-length vectors do not fit positional flags), runs the matching
-library routine, and emits a single document
+Every subcommand reads each flag's value as JSON, an integer flag a JSON
+integer (variable-length vectors do not fit positional flags), runs the
+matching library routine, and emits a single document
 
     {"status": "ok"|"error", "result": ..., "assumptions": [...], "warnings": [...]}
 
@@ -193,22 +193,27 @@ def _datum(obj, config: SurfaceConfig) -> ExtensionDatum:
                           tuple(_int(qi, "q entry") for qi in obj["q"]), chern)
 
 
-def _parse(kind: str, text, flag: str, config: SurfaceConfig | None):
-    """A flag's value as a library object; every malformed payload and every
+def _parse(kind: str, text: str, flag: str, config: SurfaceConfig | None):
+    """A flag's JSON text as a library object, an "int" flag's as a JSON integer
+    (not 1_0, +5, 05 or a non-ASCII digit); every malformed payload and every
     integer outside the 64-bit range becomes a UsageError that names the flag."""
-    if kind == "int":  # argparse has converted it; None is an omitted optional flag
-        try:
-            return text if text is None else checked_int(text, flag)
-        except IntegerOverflowError as exc:
-            raise UsageError(str(exc)) from exc
     try:
         value = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise UsageError(f"{flag} is not valid JSON: {exc}") from exc
+        if kind != "int":
+            raise UsageError(f"{flag} is not valid JSON: {exc}") from exc
+        value = None  # not a JSON integer, refused below
     except ValueError as exc:  # the decoder refuses an integer with too many digits to convert
         raise UsageError(f"{flag}: an integer is outside the signed 64-bit range ({exc})") from exc
     except RecursionError as exc:  # the decoder's depth is bounded by the recursion limit
         raise UsageError(f"{flag} is nested too deeply to parse") from exc
+    if kind == "int":
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise UsageError(f"{flag} must be a JSON integer, got {text!r}")
+        try:
+            return checked_int(value, flag)
+        except IntegerOverflowError as exc:
+            raise UsageError(str(exc)) from exc
     if not isinstance(value, (dict, list)):
         raise UsageError(f"{flag} must be a JSON object or array")
     try:
@@ -254,7 +259,7 @@ def _walls(config, c1, c2, polarization):
     from . import walls
 
     chern, pol = ChernData(c1, c2), Polarization(polarization)
-    found, boundary = walls._ordered_walls(config, chern, pol, walls._BUDGET, _wall_writer)
+    found, boundary = walls._ordered_walls(config, chern, pol, _wall_writer)
     return {
         "walls": _walls_json(found),
         "boundary": _walls_json(boundary),
@@ -429,18 +434,16 @@ def _schema(entry) -> dict:
 
 def _add_commands(subparsers, table: dict) -> None:
     for name, entry in table.items():
-        parser = subparsers.add_parser(name)
+        parser = subparsers.add_parser(name, allow_abbrev=False)
         if isinstance(entry, dict):
             _add_commands(parser.add_subparsers(dest="variant"), entry)
             continue
         for flag, spec in entry.flags.items():
-            kind, required, default = _spec(spec)
-            kwargs = {"type": int} if kind == "int" else {}
-            parser.add_argument(flag, required=required, default=default, **kwargs)
+            parser.add_argument(flag, required=_spec(spec)[1])
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="ruledmoduli", description=__doc__)
+    parser = _Parser(prog="ruledmoduli", description=__doc__, allow_abbrev=False)
     parser.add_argument("--schema", metavar="SUBCOMMAND", help="print the JSON schema of a subcommand and exit")
     parser.add_argument("--output", metavar="PATH", help="write the JSON document to PATH instead of stdout")
     _add_commands(parser.add_subparsers(dest="subcommand"), COMMANDS)
@@ -448,12 +451,14 @@ def build_parser() -> _Parser:
 
 
 def _execute(command: _Command, options: dict) -> tuple[dict, list[str]]:
-    """Parse the command's flags in table order and run its handler."""
+    """Parse the command's flags in table order, an omitted optional flag
+    taking its table default, and run its handler."""
     values: dict = {}
     config = None
     for flag, spec in command.flags.items():
         dest = flag[2:].replace("-", "_")
-        values[dest] = _parse(_spec(spec)[0], options[dest], flag, config)
+        kind, _, default = _spec(spec)
+        values[dest] = default if options[dest] is None else _parse(kind, options[dest], flag, config)
         if dest == "config":
             config = values[dest]
     return command.handler(**values)

@@ -34,6 +34,9 @@ from .lattice import (
 )
 
 
+_BOX_CAP = 500_000  # the most points a search box may hold
+
+
 class StabilityOutcome(Enum):
     STABLE_CERTIFIED = "stable_certified"
     DESTABILIZER_FOUND = "destabilizer_found"
@@ -102,8 +105,6 @@ def destabilizer_search(
     ell: int,
     polarization: Polarization,
     box: SearchBox | None = None,
-    *,
-    max_candidates: int = 500_000,
 ) -> StabilityVerdict:
     """Search the box for numerical destabilizers of the extension bundle.
 
@@ -112,7 +113,8 @@ def destabilizer_search(
     order.  The verdict is read off the records: DESTABILIZER_FOUND when an
     unpruned one is certified effective, INCONCLUSIVE when unpruned ones
     remain but all are UNKNOWN, STABLE_CERTIFIED otherwise, including when
-    every survivor is pruned.  A certificate is relative to the box.
+    every survivor is pruned.  A certificate is relative to the box, which
+    may hold at most ``_BOX_CAP`` points (else BoxTooLargeError).
 
     The doubled margin is linear in A, with weights C0.L, F.L > 0 and Ei.L
     read from ``polarization.checks``.  On a slice (a, exc), X - A has fixed a and exc,
@@ -132,8 +134,8 @@ def destabilizer_search(
     if box is None:
         box = default_box(sub, quot)
     m = config.num_points
-    if box.volume(m) > checked_int(max_candidates, "max_candidates"):
-        raise BoxTooLargeError(f"box volume {box.volume(m)} exceeds the cap of {max_candidates}")
+    if box.volume(m) > _BOX_CAP:
+        raise BoxTooLargeError(f"box volume {box.volume(m)} exceeds the cap of {_BOX_CAP}")
 
     _require_surface(config, polarization.config, "polarization")
     checks = polarization.checks

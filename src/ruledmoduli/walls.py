@@ -37,12 +37,13 @@ pass over the slices.  On g=0, e=1, m=3, L=3C0+7F-sum Ei, c1=F+sum Ei,
 c2=80 that is 7,211 non-empty slices against 69,485 emitted classes.  The
 decision witness is the first separating wall in (a, b, exc) order, which
 is ``wall_search(...).walls[0]``, else the first boundary class.
-``max_candidates`` budgets every prefix of c the kernel visits (8,144
-there) and, in the ordering walk, every b of each run (69,485 more).  The
-kernel walks the last coefficient of c as a range and range-checks only
-what can leave the 64-bit range: once per a, the bound a + isqrt(disc) + 1
-on a and every c_i; per slice, the ends of its run of b and zeta.L at the
-first b.  zeta^2 and the length lie in the window, so never need a check.
+``_BUDGET``, read when a query starts, budgets every prefix of c the
+kernel visits (8,144 there) and, in the ordering walk, every b of each run
+(69,485 more).  The kernel walks the last coefficient of c as a range and
+range-checks only what can leave the 64-bit range: once per a, the bound
+a + isqrt(disc) + 1 on a and every c_i; per slice, the ends of its run of
+b and zeta.L at the first b.  zeta^2 and the length lie in the window, so
+never need a check.
 
 ``wall_search`` builds its result with the cyclic garbage collector paused
 and afterwards restores the state it found (enabled or not); this is the
@@ -68,11 +69,11 @@ from math import isqrt
 from operator import attrgetter, itemgetter
 
 from .errors import INT64_MAX, INT64_MIN, NotApplicableError, SearchBoundsError, checked_int
-from .invariants import ChernData, normalize_chern
+from .invariants import ChernData
 from .lattice import DivisorClass, Polarization, SurfaceConfig, _require_surface
 
 
-_BUDGET = 2_000_000  # the default max_candidates of the searches and decisions
+_BUDGET = 2_000_000  # the work units of one wall query, counted by _slices
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,7 +141,7 @@ class DvZeroCertificate:
         return 0 if self.certified else None
 
 
-def _slices(config, chern, polarization, max_candidates, walk_runs):
+def _slices(config, chern, polarization, walk_runs):
     """Yield every non-empty (a, exc) slice of the Hodge-index region.
 
     Each item is (a, exc, b, b_last, z_sq, ell, z_l, on_boundary): the walls
@@ -156,10 +157,10 @@ def _slices(config, chern, polarization, max_candidates, walk_runs):
 
     Prefixes shorter than m - 1 go through a depth-first stack; a prefix of
     length m - 1 is expanded in place into its slices, one range of the last
-    coefficient (for m = 0 the empty prefix is the slice).  The budget counts
-    every exc prefix visited (the empty prefix and each full vector
-    included), each charged before its work, and, with ``walk_runs``, every
-    b of each run.
+    coefficient (for m = 0 the empty prefix is the slice).  The budget,
+    ``_BUDGET`` when the walk starts, counts every exc prefix visited (the
+    empty prefix and each full vector included), each charged before its
+    work, and, with ``walk_runs``, every b of each run.
 
     Only values that can leave the 64-bit range are checked.  Each layer
     checks a + isqrt(disc) + 1, which bounds a and every c_i of the layer:
@@ -172,7 +173,7 @@ def _slices(config, chern, polarization, max_candidates, walk_runs):
     layer check can fire in a layer with no non-empty slice; that needs a
     near 2^63, so about 2^62 budget units.
     """
-    left = checked_int(max_candidates, "max_candidates")
+    budget = left = _BUDGET
     _require_surface(config, chern.config, "Chern data")
     _require_surface(config, polarization.config, "polarization")
 
@@ -206,7 +207,7 @@ def _slices(config, chern, polarization, max_candidates, walk_runs):
             else:
                 left -= 1
                 if left < 0:
-                    raise SearchBoundsError(max_candidates, f"stuck at leading coefficient a = {a}")
+                    raise SearchBoundsError(budget, f"stuck at leading coefficient a = {a}")
                 r, t = l_exc[i], isqrt(room)
                 c_lo = -((t - a * r) // p)  # ceil((a*r - t) / p)
                 cs = range(c_lo + (c_lo - c1_exc[i]) % 2, (a * r + t) // p + 1, 2)
@@ -219,7 +220,7 @@ def _slices(config, chern, polarization, max_candidates, walk_runs):
             for c in cs:  # the slices of this prefix, each charged before its work
                 left -= 1
                 if left < 0:
-                    raise SearchBoundsError(max_candidates, f"stuck at leading coefficient a = {a}")
+                    raise SearchBoundsError(budget, f"stuck at leading coefficient a = {a}")
                 x = x0 + c * c  # zeta^2 = 2ab - x
                 k = k0 + c * r  # zeta.L = pb - k
                 b = -((disc - x) // two_a)  # zeta^2 >= c1^2 - 4c2
@@ -237,7 +238,7 @@ def _slices(config, chern, polarization, max_candidates, walk_runs):
                 if walk_runs:
                     left -= (b_last - b) // 2 + 1
                     if left < 0:
-                        raise SearchBoundsError(max_candidates, f"stuck at leading coefficient a = {a}")
+                        raise SearchBoundsError(budget, f"stuck at leading coefficient a = {a}")
                 # length c2 + (zeta^2 - c1^2)/4, exact since zeta = c1 mod 2
                 exc_c = (*exc, c) if m else exc
                 yield a, exc_c, b, b_last, z_sq, (z_sq + disc) // 4, z_l, z_l + p * (b_last - b) == 0
@@ -248,8 +249,6 @@ def wall_search(
     config: SurfaceConfig,
     chern: ChernData,
     polarization: Polarization,
-    *,
-    max_candidates: int = _BUDGET,
 ) -> WallSearch:
     """Enumerate every wall zeta with zeta.F > 0 and zeta.L <= 0.
 
@@ -257,8 +256,8 @@ def wall_search(
     ``_ordered_walls``.  The cost is one pass over the slices plus one step
     per emitted class, and each class is two slotted objects, its
     ``WallClass`` and its ``zeta``, around the exc tuple of its slice.
-    Raises SearchBoundsError with the offending budget when the visited exc
-    prefixes plus the b candidates of the runs exceed ``max_candidates``, so
+    Raises SearchBoundsError, whose ``budget`` is ``_BUDGET``, when the
+    visited exc prefixes plus the b candidates of the runs exceed it, so
     callers can fall back to the brute-force oracle.
 
     The cyclic garbage collector is paused for the build, which makes only
@@ -268,7 +267,7 @@ def wall_search(
     collecting = gc.isenabled()
     gc.disable()
     try:
-        walls, boundary = _ordered_walls(config, chern, polarization, max_candidates, _wall_objects(config))
+        walls, boundary = _ordered_walls(config, chern, polarization, _wall_objects(config))
         return WallSearch(tuple(walls), tuple(boundary))
     finally:
         if collecting:
@@ -298,7 +297,7 @@ def _wall_objects(config):
     return builder
 
 
-def _ordered_walls(config, chern, polarization, max_candidates, builder):
+def _ordered_walls(config, chern, polarization, builder):
     """(walls, boundary) of the wall search as two lists, in (a, b, exc) order,
     each class made by its run's maker.
 
@@ -314,7 +313,7 @@ def _ordered_walls(config, chern, polarization, max_candidates, builder):
     """
     p = polarization.cls.a
     walls, boundary = [], []
-    slices = _slices(config, chern, polarization, max_candidates, walk_runs=True)
+    slices = _slices(config, chern, polarization, walk_runs=True)
     for a, group in groupby(slices, itemgetter(0)):
         walls_at, boundary_at = defaultdict(list), defaultdict(list)  # b -> classes of this a
         step_sq, step_l = 4 * a, 2 * p  # zeta^2 and zeta.L per step of 2 in b
@@ -344,7 +343,7 @@ def _boundary(make, a, b, b_last, z_sq, ell):
     return make(b_last, z_sq + 4 * a * steps, ell + a * steps, 0)
 
 
-def _decide(config, chern, polarization, max_candidates):
+def _decide(config, chern, polarization):
     """(witness, boundary) of the decision queries, without walking any run.
 
     The first class of a slice is a separating wall when its zeta.L < 0.
@@ -358,7 +357,7 @@ def _decide(config, chern, polarization, max_candidates):
     builder = _wall_objects(config)
     witness = None
     boundary: list[WallClass] = []
-    slices = _slices(config, chern, polarization, max_candidates, walk_runs=False)
+    slices = _slices(config, chern, polarization, walk_runs=False)
     for a, group in groupby(slices, itemgetter(0)):
         first = None  # the separating wall of least b in this a, if none came before
         boundary_of_a: list[WallClass] = []
@@ -379,8 +378,6 @@ def is_suitable(
     config: SurfaceConfig,
     chern: ChernData,
     polarization: Polarization,
-    *,
-    max_candidates: int = _BUDGET,
 ) -> Suitability:
     """Whether L sits in a chamber whose closure contains the fibre ray.
 
@@ -391,7 +388,7 @@ def is_suitable(
     The cost is one pass over the slices of the wall region, never over the
     walls themselves; the budget counts the exc prefixes that pass visits.
     """
-    witness, boundary = _decide(config, chern, polarization, max_candidates)
+    witness, boundary = _decide(config, chern, polarization)
     return Suitability(witness is None, witness, boundary)
 
 
@@ -399,23 +396,21 @@ def certify_dv_zero(
     config: SurfaceConfig,
     chern: ChernData,
     polarization: Polarization,
-    *,
-    max_candidates: int = _BUDGET,
 ) -> DvZeroCertificate:
     """Certify that stable bundles with these invariants split with degree 0
     on a general fibre.
 
-    Only applies when the fibre degree of c1 is even (after twist
-    normalization): a positive splitting degree d would produce the wall
-    2d*C0 + ... with zeta.F > 0 and, by stability, zeta.L < 0; Hodge index
-    puts zeta^2 in the wall window, so an empty wall list is a certificate.
-    Decided like ``is_suitable`` on the normalized twist, with the same
-    witness order, cost and budget.
+    Only applies when the fibre degree of c1 is even: a positive splitting
+    degree d would produce the wall 2d*C0 + ... with zeta.F > 0 and, by
+    stability, zeta.L < 0; Hodge index puts zeta^2 in the wall window, so
+    an empty wall list is a certificate.  Decided like ``is_suitable``, with
+    the same witness order, cost and budget; the kernel reads c1 only mod 2
+    and through the discriminant, so every twist gives the same certificate.
     """
     if chern.c1.a % 2 != 0:
         raise NotApplicableError(
             "the fibre degree of c1 is odd; the splitting degree is determined "
             "by the structure classification instead"
         )
-    witness, boundary = _decide(config, normalize_chern(chern), polarization, max_candidates)
+    witness, boundary = _decide(config, chern, polarization)
     return DvZeroCertificate(witness is None, witness, boundary)

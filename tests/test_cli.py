@@ -2,9 +2,9 @@ import argparse
 import ast
 import dataclasses
 import gc
-import inspect
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -16,8 +16,9 @@ from conftest import random_chern, random_polarization
 from ruledmoduli import (ChernData, ExtensionDatum, Polarization, SearchBoundsError, SurfaceConfig, WallClass,
                          c1f1_report, certify_dv_zero, is_suitable, wall_search)
 from ruledmoduli import walls
-from ruledmoduli.cli import (COMMANDS, _DIVISOR_DOC, _WALL_DOC, _JSONText, _c1f1, _canonical, _certify_dv0, _parse,
-                             _schema, _stability, _suitable, _wall_json, _wall_writer, _walls, build_parser, run)
+from ruledmoduli.cli import (COMMANDS, _DIVISOR_DOC, _WALL_DOC, UsageError, _JSONText, _c1f1, _canonical, _certify_dv0,
+                             _parse, _schema, _stability, _suitable, _wall_json, _wall_writer, _walls, build_parser,
+                             run)
 from ruledmoduli.errors import IntegerOverflowError
 
 CONFIG_00 = '{"genus":0,"e":0,"points":0}'
@@ -195,14 +196,18 @@ class TestHappyPaths:
 
     def test_schema_agrees_with_the_parser(self, capsys):
         """Every subcommand and family-dim variant documents exactly the flags
-        argparse accepts, each marked required as argparse has it."""
+        argparse accepts, each marked required as argparse has it, and no
+        parser accepts an abbreviation of a flag."""
 
         def subparsers(parser):
             action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
             return action.choices
 
         commands = []
-        for name, parser in subparsers(build_parser()).items():
+        top = build_parser()
+        assert not top.allow_abbrev
+        for name, parser in subparsers(top).items():
+            assert not parser.allow_abbrev, name
             code, out, _ = invoke(capsys, ["--schema", name])
             assert code == 0
             schema = json.loads(out)["schema"]
@@ -214,6 +219,7 @@ class TestHappyPaths:
                 commands.append((name, parser, schema))
         assert len(commands) == 15
         for name, parser, schema in commands:
+            assert not parser.allow_abbrev, name
             documented = {flag: doc["required"] for flag, doc in schema["flags"].items()}
             required = {
                 action.option_strings[0]: action.required
@@ -349,27 +355,27 @@ class TestCanonicalWriter:
         assert all(written), written  # m = 0, with "exc":[], included
 
     def test_the_runs_writer_has_the_budget_of_wall_search(self, monkeypatch, capsys):
-        """Both makers walk the same runs, so the CLI's walls stop at the
-        budget where wall_search stops."""
-        assert inspect.signature(wall_search).parameters["max_candidates"].default == walls._BUDGET
+        """Every wall query reads its budget, walls._BUDGET, when it starts,
+        so each fails one unit below its least passing budget and passes at
+        it; the CLI's walls walk the runs of wall_search, so they stop at
+        its budget."""
         cfg, chern, pol = SurfaceConfig(0, 1, 3), ChernData(ANCHOR_C1, 12), Polarization(ANCHOR_L)
-        lo, hi = 0, 10_000  # the least budget wall_search passes with lies in (lo, hi]
-        wall_search(cfg, chern, pol, max_candidates=hi)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            try:
-                wall_search(cfg, chern, pol, max_candidates=mid)
-                hi = mid
-            except SearchBoundsError:
-                lo = mid
-        with pytest.raises(SearchBoundsError) as raised:
-            wall_search(cfg, chern, pol, max_candidates=lo)
+        # wall_search also walks the runs; the decisions count the exc prefixes only
+        for query, least in ((wall_search, 482), (is_suitable, 167), (certify_dv_zero, 167)):
+            monkeypatch.setattr(walls, "_BUDGET", least - 1)
+            with pytest.raises(SearchBoundsError) as raised:
+                query(cfg, chern, pol)
+            assert raised.value.budget == least - 1
+            monkeypatch.setattr(walls, "_BUDGET", least)
+            query(cfg, chern, pol)
         argv = [*ANCHOR_ARGV[:6], "12", *ANCHOR_ARGV[7:]]
-        monkeypatch.setattr(walls, "_BUDGET", lo)
+        monkeypatch.setattr(walls, "_BUDGET", 481)
+        with pytest.raises(SearchBoundsError) as raised:
+            wall_search(cfg, chern, pol)
         code, out, _ = invoke(capsys, argv)
         assert code == 1
         assert json.loads(out)["error"] == {"type": "SearchBoundsError", "message": str(raised.value)}
-        monkeypatch.setattr(walls, "_BUDGET", hi)
+        monkeypatch.setattr(walls, "_BUDGET", 482)
         assert result_of(capsys, argv)["result"]["walls"]
 
     @pytest.mark.parametrize("config,c1,c2,polarization,witness,boundary", [
@@ -754,6 +760,15 @@ class TestPayloadParsing:
         assert _parse("divisor", '{"a":3,"b":-4,"exc":[5,-6]}', "--divisor", cfg) == cfg.divisor(3, -4, (5, -6))
         datum = _parse("datum", '{"d":0,"r":-3,"q":[0,2],"c1":{"a":0,"b":1,"exc":[1,1]},"c2":9}', "--datum", cfg)
         assert datum == ExtensionDatum(0, -3, (0, 2), ChernData(cfg.divisor(0, 1, (1, 1)), 9))
+
+    def test_int_flags_take_json_integers_only(self):
+        # Python's int() reads the first four of these as 10, 5, 5 and 5
+        for text in ("1_0", "٥", "+5", "05", "true", "1.0", "1e3", '"5"', "[5]", "x"):
+            with pytest.raises(UsageError, match=f"^--c2 must be a JSON integer, got {re.escape(repr(text))}$"):
+                _parse("int", text, "--c2", None)
+        assert [_parse("int", text, "--c2", None) for text in ("-5", "0", "-0", str(2**63 - 1))] == [-5, 0, 0, 2**63 - 1]
+        with pytest.raises(UsageError, match="^--c2 9223372036854775808 exceeds the signed 64-bit range$"):
+            _parse("int", str(2**63), "--c2", None)
 
     @pytest.mark.parametrize("flag,key", SCHEMA_KEYS, ids=[f"{f}-{k}" for f, k in SCHEMA_KEYS])
     def test_parser_accepts_exactly_the_schema_keys(self, capsys, flag, key):

@@ -214,6 +214,17 @@ class TestSearchMechanics:
                 cfg, cfg.zero(), cfg.zero(), 0, pol, SearchBox(1000, 1000, 0)
             )
 
+    def test_box_cap_is_read_when_the_search_starts(self, monkeypatch):
+        # SearchBox(1, 2, 1) holds 3 * 5 * 3^2 = 135 points when m = 2
+        cfg = SurfaceConfig(0, 1, 2)
+        pol = Polarization(cfg.divisor(3, 7, (-1, -1)))
+        args = (cfg, cfg.zero(), cfg.fiber(), 0, pol, SearchBox(1, 2, 1))
+        monkeypatch.setattr(ruledmoduli.stability, "_BOX_CAP", 134)
+        with pytest.raises(BoxTooLargeError, match="^box volume 135 exceeds the cap of 134$"):
+            destabilizer_search(*args)
+        monkeypatch.setattr(ruledmoduli.stability, "_BOX_CAP", 135)
+        assert destabilizer_search(*args).box == SearchBox(1, 2, 1)
+
     def test_box_bounds_are_range_checked(self):
         # with m = 0 the exceptional bound does not enter the volume
         with pytest.raises(IntegerOverflowError):

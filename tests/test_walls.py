@@ -25,11 +25,12 @@ from ruledmoduli import (
     SurfaceConfig,
     WallClass,
     certify_dv_zero,
+    chern_twist,
     intersect,
     is_suitable,
-    normalize_chern,
     wall_search,
 )
+from ruledmoduli import walls
 from ruledmoduli.invariants import _subscheme_length_from_zeta
 from ruledmoduli.walls import _slices, _wall_objects
 
@@ -175,19 +176,13 @@ class TestEnumeration:
             assert previous <= current
             previous = current
 
-    def test_budget_exhaustion_raises(self, quadric):
+    def test_budget_exhaustion_raises(self, quadric, monkeypatch):
         cfg, chern = quadric
+        monkeypatch.setattr(walls, "_BUDGET", 0)
         for query in (wall_search, is_suitable, certify_dv_zero):
             with pytest.raises(SearchBoundsError) as info:
-                query(cfg, chern, Polarization(cfg.divisor(3, 1)), max_candidates=0)
+                query(cfg, chern, Polarization(cfg.divisor(3, 1)))
             assert info.value.budget == 0
-
-    def test_budget_must_lie_in_the_64_bit_range(self, quadric):
-        # an unchecked budget of 10^30 used to run as if it were finite
-        cfg, chern = quadric
-        for query in (wall_search, is_suitable, certify_dv_zero):
-            with pytest.raises(IntegerOverflowError, match="^max_candidates 9223372036854775808 "):
-                query(cfg, chern, Polarization(cfg.divisor(3, 1)), max_candidates=2**63)
 
     @pytest.mark.parametrize(
         "query, budget, passes",
@@ -202,15 +197,16 @@ class TestEnumeration:
             (wall_search, 1848, True),
         ],
     )
-    def test_budget_counts_prefixes_and_walked_classes(self, query, budget, passes):
+    def test_budget_counts_prefixes_and_walked_classes(self, query, budget, passes, monkeypatch):
         cfg = SurfaceConfig(0, 1, 3)
         chern = ChernData(cfg.divisor(0, 1, (1, 1, 1)), 20)
         pol = Polarization(cfg.divisor(3, 7, (-1, -1, -1)))
+        monkeypatch.setattr(walls, "_BUDGET", budget)
         if passes:
-            query(cfg, chern, pol, max_candidates=budget)
+            query(cfg, chern, pol)
         else:
             with pytest.raises(SearchBoundsError) as info:
-                query(cfg, chern, pol, max_candidates=budget)
+                query(cfg, chern, pol)
             assert info.value.budget == budget
 
     @pytest.mark.parametrize(
@@ -223,13 +219,15 @@ class TestEnumeration:
             (1, (0, 1, (1,)), (3, 7, (-1,)), (15, 15, 73)),
         ],
     )
-    def test_least_passing_budget_for_few_exceptional_curves(self, m, c1, l_class, least):
+    def test_least_passing_budget_for_few_exceptional_curves(self, m, c1, l_class, least, monkeypatch):
         cfg = SurfaceConfig(0, 1, m)
         chern, pol = ChernData(cfg.divisor(*c1), 20), Polarization(cfg.divisor(*l_class))
         for query, budget in zip((is_suitable, certify_dv_zero, wall_search), least):
-            query(cfg, chern, pol, max_candidates=budget)
+            monkeypatch.setattr(walls, "_BUDGET", budget)
+            query(cfg, chern, pol)
+            monkeypatch.setattr(walls, "_BUDGET", budget - 1)
             with pytest.raises(SearchBoundsError) as info:
-                query(cfg, chern, pol, max_candidates=budget - 1)
+                query(cfg, chern, pol)
             assert info.value.budget == budget - 1
 
     @given(wall_inputs())
@@ -238,7 +236,7 @@ class TestEnumeration:
         # |c_i| < isqrt(disc) + 1 + a, the bound each layer is checked against
         cfg, chern, pol = data
         bound = isqrt(chern.discriminant) + 1 if chern.discriminant > 0 else 0
-        for a, exc, *_ in _slices(cfg, chern, pol, 2_000_000, walk_runs=False):
+        for a, exc, *_ in _slices(cfg, chern, pol, walk_runs=False):
             assert all(abs(c) < bound + a for c in exc)
 
     def test_rejects_data_on_another_surface(self, quadric):
@@ -290,7 +288,7 @@ class TestEnumeration:
                 )
                 assert (got, got_boundary) == brute_walls(cfg, chern, pol)
 
-    def test_builds_with_the_collector_paused_and_restores_its_state(self):
+    def test_builds_with_the_collector_paused_and_restores_its_state(self, monkeypatch):
         # a running collector would start about 30 collections in this
         # search, each walking the walls built so far
         cfg = SurfaceConfig(0, 1, 3)
@@ -316,8 +314,9 @@ class TestEnumeration:
             wall_search(cfg, chern, pol)
             assert not gc.isenabled()
             gc.enable()
+            monkeypatch.setattr(walls, "_BUDGET", 5000)
             with pytest.raises(SearchBoundsError):  # raised mid-build, after some walls
-                wall_search(cfg, chern, pol, max_candidates=5000)
+                wall_search(cfg, chern, pol)
             assert gc.isenabled()
         finally:
             if record in gc.callbacks:
@@ -379,10 +378,9 @@ class TestDecisionsAgreeWithEnumeration:
         assert verdict.boundary == search.boundary
         assert verdict.suitable == (verdict.witness is None)
         if chern.c1.a % 2 == 0:
-            normalized = wall_search(cfg, normalize_chern(chern), pol)
             certificate = certify_dv_zero(cfg, chern, pol)
-            assert certificate.separating_wall == first_witness(normalized)
-            assert certificate.boundary == normalized.boundary
+            assert certificate.separating_wall == verdict.witness
+            assert certificate.boundary == search.boundary
             assert certificate.certified == (certificate.separating_wall is None)
 
     def test_anchor(self):
@@ -415,14 +413,15 @@ class TestCertifyDvZero:
         with pytest.raises(NotApplicableError):
             certify_dv_zero(cfg, chern, Polarization(cfg.divisor(1, 3)))
 
-    def test_unnormalized_even_input_is_normalized_first(self, quadric):
-        cfg, chern = quadric
-        from ruledmoduli import chern_twist
-
-        twisted = chern_twist(chern, cfg.divisor(1, -2))
-        for pol_cls in (cfg.divisor(1, 3), cfg.divisor(3, 1)):
-            pol = Polarization(pol_cls)
-            assert (
-                certify_dv_zero(cfg, twisted, pol).certified
-                == certify_dv_zero(cfg, chern, pol).certified
-            )
+    @given(wall_inputs(), st.lists(st.integers(-3, 3), min_size=5, max_size=5))
+    def test_every_twist_gives_the_same_certificate(self, data, coefficients):
+        # the kernel reads c1 only mod 2 and through the discriminant, so the
+        # certificate, witness and boundary included, is that of any twist
+        cfg, chern, pol = data
+        a, b, *exc = coefficients
+        twisted = chern_twist(chern, cfg.divisor(a, b, tuple(exc[:cfg.num_points])))
+        if chern.c1.a % 2:
+            with pytest.raises(NotApplicableError):
+                certify_dv_zero(cfg, twisted, pol)
+        else:
+            assert certify_dv_zero(cfg, twisted, pol) == certify_dv_zero(cfg, chern, pol)
