@@ -25,11 +25,17 @@ built as objects first (medians of 10 alternating processes, best of 7
 calls each; Python 3.11.7, 2 vCPUs).  Exit codes: 0 on success, 1 on a
 domain error (reported inside the JSON document), 2 on a usage error
 (reported on the diagnostic stream together with a pointer to ``--schema``).
+
+The table ``COMMANDS`` is the only parser.  ``--schema NAME`` and
+``--output PATH`` come before the subcommand, a ``family-dim`` variant right
+after it, and then ``--flag VALUE`` pairs: each flag is spelled exactly as the
+table has it (no abbreviation, no ``--flag=VALUE``), given at most once, and
+takes the next word as its value.  ``-h`` or ``--help``, anywhere in argv,
+prints the usage line, this text and the subcommands, and exits 0.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import warnings
@@ -43,12 +49,7 @@ from .invariants import ChernData, ExtensionDatum
 
 
 class UsageError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would sys.exit(2); raise instead
-        raise UsageError(message)
+    """A command line or payload the CLI refuses: exit code 2, reported on stderr."""
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ class _Command:
 
     ``flags`` maps each flag to its payload kind when it is required, or to
     ``(kind, default)`` when it is optional.  ``handler`` takes the parsed
-    values by argparse destination name and returns ``(result, notes)``.
+    values by flag name, ``--box-a`` as ``box_a``, and returns ``(result, notes)``.
     """
 
     flags: dict
@@ -373,8 +374,8 @@ _CHERN_FLAGS = {"--config": "config", "--c1": "divisor", "--c2": "int"}
 _WALL_FLAGS = {**_CHERN_FLAGS, "--polarization": "divisor"}
 _FAMILY_FLAGS = {"--g": "int", "--eta": "int", "--m": "int", "--n": "int", "--eps": "int"}
 
-# One entry per subcommand, and one per variant under "family-dim".  The order
-# is argparse's order of choices in its messages.
+# One entry per subcommand, and one per variant under "family-dim", in the
+# order --help lists them.
 COMMANDS: dict[str, _Command | dict[str, _Command]] = {
     "rr": _Command({"--config": "config", "--divisor": "divisor"}, {"chi": "int"},
                    lambda config, divisor: ({"chi": euler_char(config, divisor)}, [])),
@@ -392,7 +393,7 @@ COMMANDS: dict[str, _Command | dict[str, _Command]] = {
                       _walls),
     "suitable": _Command(_WALL_FLAGS, {"suitable": "bool", "witness": "wall | null", "boundary": [_WALL_DOC]},
                          _suitable),
-    "certify-dv0": _Command(_WALL_FLAGS, {"certified": "bool (c1.a even after twist normalization)",
+    "certify-dv0": _Command(_WALL_FLAGS, {"certified": "bool (c1.a even)",
                                           "d": "0 | null", "witness": "wall | null"},
                             _certify_dv0),
     "family-dim": {
@@ -426,71 +427,77 @@ def _schema(entry) -> dict:
     flags = {}
     for flag, spec in entry.flags.items():
         kind, required, default = _spec(spec)
-        flags[flag] = {"payload": _KIND_DOCS[kind], "required": required}
-        if not required:
-            flags[flag]["default"] = default
+        flags[flag] = {"payload": _KIND_DOCS[kind], "required": required} | ({} if required else {"default": default})
     return {"flags": flags, "result": entry.result}
 
 
-def _add_commands(subparsers, table: dict) -> None:
-    for name, entry in table.items():
-        parser = subparsers.add_parser(name, allow_abbrev=False)
-        if isinstance(entry, dict):
-            _add_commands(parser.add_subparsers(dest="variant"), entry)
-            continue
-        for flag, spec in entry.flags.items():
-            parser.add_argument(flag, required=_spec(spec)[1])
+def _take(argv: list[str], at: int, flags, texts: dict[str, str]) -> int:
+    """Read the pair ``flag VALUE`` at ``argv[at]`` into texts and return the
+    position after it; the flag must be one of flags and not yet in texts."""
+    flag = argv[at]
+    if flag not in flags:
+        raise UsageError(f"unknown flag {flag!r}")
+    if flag in texts:
+        raise UsageError(f"{flag} is given more than once")
+    if at + 1 == len(argv):
+        raise UsageError(f"{flag} requires a value")
+    texts[flag] = argv[at + 1]
+    return at + 2
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="ruledmoduli", description=__doc__, allow_abbrev=False)
-    parser.add_argument("--schema", metavar="SUBCOMMAND", help="print the JSON schema of a subcommand and exit")
-    parser.add_argument("--output", metavar="PATH", help="write the JSON document to PATH instead of stdout")
-    _add_commands(parser.add_subparsers(dest="subcommand"), COMMANDS)
-    return parser
-
-
-def _execute(command: _Command, options: dict) -> tuple[dict, list[str]]:
-    """Parse the command's flags in table order, an omitted optional flag
+def _execute(command: _Command, texts: dict[str, str]) -> tuple[dict, list[str]]:
+    """Parse the command's flag texts in table order, an omitted optional flag
     taking its table default, and run its handler."""
     values: dict = {}
-    config = None
     for flag, spec in command.flags.items():
         dest = flag[2:].replace("-", "_")
         kind, _, default = _spec(spec)
-        values[dest] = default if options[dest] is None else _parse(kind, options[dest], flag, config)
-        if dest == "config":
-            config = values[dest]
+        values[dest] = default if flag not in texts else _parse(kind, texts[flag], flag, values.get("config"))
     return command.handler(**values)
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Parse argv, run one subcommand, write the JSON document; returns the exit code."""
-    hint = "run 'ruledmoduli --schema <subcommand>' for payload schemas"
+    """Read argv against ``COMMANDS``, run one subcommand, write the JSON document; returns the exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    hint = known = f"known subcommands: {', '.join(sorted(COMMANDS))}"
+    if "-h" in argv or "--help" in argv:  # written in one piece, like a document, for a reader that stops early
+        names = (f"{name} {' | '.join(entry)}" if isinstance(entry, dict) else name for name, entry in COMMANDS.items())
+        usage = "usage: ruledmoduli [--schema SUBCOMMAND] [--output PATH] SUBCOMMAND [VARIANT] [--FLAG VALUE ...]"
+        sys.stdout.write(f"{usage}\n\n{__doc__}\nsubcommands:\n" + "".join(f"  {name}\n" for name in names))
+        return 0
     try:
-        options = vars(build_parser().parse_args(argv))
-        schema_name = options.pop("schema")
-        output_path = options.pop("output")
-        subcommand = options.pop("subcommand")
+        texts: dict[str, str] = {}  # --schema and --output first, then the subcommand's flags
+        at = 0
+        while at < len(argv) and argv[at] in ("--schema", "--output"):
+            at = _take(argv, at, ("--schema", "--output"), texts)
+        schema_name, output_path = texts.get("--schema"), texts.get("--output")
+        subcommand = argv[at] if at < len(argv) else None
+        if subcommand is not None:
+            if subcommand not in COMMANDS:
+                raise UsageError(f"unknown subcommand {subcommand!r}")
+            hint = f"run 'ruledmoduli --schema {subcommand}' for payload schemas"
+            command, at = COMMANDS[subcommand], at + 1
+            if isinstance(command, dict):
+                if at == len(argv) or argv[at] not in command:
+                    raise UsageError(f"{subcommand} requires a variant: {' | '.join(command)}")
+                command, at = command[argv[at]], at + 1
+            while at < len(argv):
+                at = _take(argv, at, command.flags, texts)
+            missing = [flag for flag, spec in command.flags.items() if _spec(spec)[1] and flag not in texts]
+            if missing:
+                raise UsageError(f"the following flags are required: {', '.join(missing)}")
         if schema_name is not None or subcommand is None:
-            hint = f"known subcommands: {', '.join(sorted(COMMANDS))}"
+            hint = known
             if schema_name is None:
                 raise UsageError("a subcommand is required")
             if schema_name not in COMMANDS:
                 raise UsageError(f"no schema for {schema_name!r}")
             text, code = _canonical({"subcommand": schema_name, "schema": _schema(COMMANDS[schema_name])}), 0
         else:
-            hint = f"run 'ruledmoduli --schema {subcommand}' for payload schemas"
-            command = COMMANDS[subcommand]
-            if isinstance(command, dict):
-                variant = options.pop("variant")
-                if variant is None:
-                    raise UsageError(f"{subcommand} requires a variant: {' | '.join(command)}")
-                command = command[variant]
             try:
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
-                    result, notes = _execute(command, options)
+                    result, notes = _execute(command, texts)
                 notes.extend(str(w.message) for w in caught)
                 # family reports carry their vanishing assumptions; the envelope repeats them
                 assumptions = list(result.get("assumptions", []))
@@ -512,8 +519,6 @@ def run(argv: list[str] | None = None) -> int:
         else:
             sys.stdout.write(text)
         return code
-    except SystemExit as exc:  # --help and friends
-        return 0 if exc.code in (0, None) else 2
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         print(hint, file=sys.stderr)

@@ -1,4 +1,3 @@
-import argparse
 import ast
 import dataclasses
 import gc
@@ -15,10 +14,9 @@ import ruledmoduli
 from conftest import random_chern, random_polarization
 from ruledmoduli import (ChernData, ExtensionDatum, Polarization, SearchBoundsError, SurfaceConfig, WallClass,
                          c1f1_report, certify_dv_zero, is_suitable, wall_search)
-from ruledmoduli import walls
+from ruledmoduli import cli, walls
 from ruledmoduli.cli import (COMMANDS, _DIVISOR_DOC, _WALL_DOC, UsageError, _JSONText, _c1f1, _canonical, _certify_dv0,
-                             _parse, _schema, _stability, _suitable, _wall_json, _wall_writer, _walls, build_parser,
-                             run)
+                             _parse, _schema, _stability, _suitable, _wall_json, _wall_writer, _walls, run)
 from ruledmoduli.errors import IntegerOverflowError
 
 CONFIG_00 = '{"genus":0,"e":0,"points":0}'
@@ -194,39 +192,29 @@ class TestHappyPaths:
         assert code == 0
         assert json.loads(out)["subcommand"] == "walls"
 
-    def test_schema_agrees_with_the_parser(self, capsys):
-        """Every subcommand and family-dim variant documents exactly the flags
-        argparse accepts, each marked required as argparse has it, and no
-        parser accepts an abbreviation of a flag."""
-
-        def subparsers(parser):
-            action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-            return action.choices
-
+    def test_the_table_is_the_parser(self, capsys):
+        """Every subcommand and family-dim variant reads exactly the flags its
+        --schema documents: omitting a required flag is a usage error naming
+        that flag, an optional one may be omitted, and an unknown flag is a
+        usage error naming it and the subcommand.  Values are not parsed
+        before every flag is read, so any text stands in for them."""
         commands = []
-        top = build_parser()
-        assert not top.allow_abbrev
-        for name, parser in subparsers(top).items():
-            assert not parser.allow_abbrev, name
+        for name in COMMANDS:
             code, out, _ = invoke(capsys, ["--schema", name])
             assert code == 0
             schema = json.loads(out)["schema"]
-            if "variants" in schema:
-                variants = subparsers(parser)
-                assert set(variants) == set(schema["variants"])
-                commands += [(f"{name} {v}", variants[v], schema["variants"][v]) for v in variants]
-            else:
-                commands.append((name, parser, schema))
+            variants = schema.get("variants", {None: schema})
+            commands += [([name, variant] if variant else [name], name, doc) for variant, doc in variants.items()]
         assert len(commands) == 15
-        for name, parser, schema in commands:
-            assert not parser.allow_abbrev, name
-            documented = {flag: doc["required"] for flag, doc in schema["flags"].items()}
-            required = {
-                action.option_strings[0]: action.required
-                for action in parser._actions
-                if action.option_strings and action.dest != "help"
-            }
-            assert documented == required, name
+        for words, name, schema in commands:
+            required = [flag for flag, doc in schema["flags"].items() if doc["required"]]
+            hint = f"run 'ruledmoduli --schema {name}' for payload schemas\n"
+            for omitted in required:
+                argv = words + [word for flag in required if flag != omitted for word in (flag, "x")]
+                message = f"usage error: the following flags are required: {omitted}\n"
+                assert invoke(capsys, argv) == (2, "", message + hint)
+            argv = words + [word for flag in required for word in (flag, "x")] + ["--bogus", "1"]
+            assert invoke(capsys, argv) == (2, "", f"usage error: unknown flag '--bogus'\n{hint}")
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "out.json"
@@ -237,11 +225,12 @@ class TestHappyPaths:
         assert json.loads(path.read_text())["result"] == {"dim": 5, "ext1": 4, "h0VD": 3}
 
     def test_help(self, capsys):
-        # only the prefix: argparse wraps the rest to the terminal width
-        for argv in (["--help"], ["rr", "--help"]):
+        for argv in (["--help"], ["rr", "--help"], ["-h"]):
             code, out, err = invoke(capsys, argv)
             assert code == 0 and err == ""
-            assert out.startswith("usage: ruledmoduli")
+            assert out.startswith("usage: ruledmoduli") and cli.__doc__ in out
+            listed = out.split("subcommands:\n")[1].splitlines()
+            assert [line.split()[0] for line in listed] == list(COMMANDS)
 
 
 class TestDeterminism:

@@ -5,9 +5,10 @@ examples, one call per subcommand and ``family-dim`` variant, and the usage
 and domain error paths.  The same module checks that every successful
 result has exactly the keys its ``--schema`` documents, and that the module
 entry point ``python -m ruledmoduli.cli`` behaves as ``run``.  Usage errors
-raised by argparse carry its wording, which is that of Python 3.11, the
-version the file was recorded with.  After an intended change of output,
-re-record the file with
+are worded by the package, which reads argv against its command table; only
+the JSON decoder's and the operating system's messages quoted in some of
+them come from Python, whose version 3.11 the file was recorded with.  After
+an intended change of output, re-record the file with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -23,12 +24,13 @@ from pathlib import Path
 import pytest
 
 import ruledmoduli
-from ruledmoduli.cli import COMMANDS, build_parser, run
+from ruledmoduli.cli import COMMANDS, run
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 CASES = json.loads(GOLDEN.read_text(encoding="utf-8"))
 BY_NAME = {case["name"]: case for case in CASES}
-OK_CASES = [case for case in CASES if case["exit"] == 0]
+# the successful subcommand calls; a --schema call prints no result
+RESULT_CASES = [case for case in CASES if case["exit"] == 0 and case["argv"][0] in COMMANDS]
 
 
 def transcript(argv):
@@ -44,12 +46,12 @@ def test_transcript_matches_golden(case):
     assert transcript(case["argv"]) == expected
 
 
-@pytest.mark.parametrize("case", OK_CASES, ids=[case["name"] for case in OK_CASES])
+@pytest.mark.parametrize("case", RESULT_CASES, ids=[case["name"] for case in RESULT_CASES])
 def test_schema_names_the_result_keys(case):
-    options = build_parser().parse_args(case["argv"])
-    command = COMMANDS[options.subcommand]
+    subcommand, variant = case["argv"][:2]
+    command = COMMANDS[subcommand]
     if isinstance(command, dict):
-        command = command[options.variant]
+        command = command[variant]
     assert set(json.loads(case["stdout"])["result"]) == set(command.result)
 
 

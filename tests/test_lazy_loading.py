@@ -3,9 +3,10 @@
 ``import ruledmoduli`` imports none of the six modules; each name of
 ``__all__`` is resolved by the package's module ``__getattr__`` on first
 access.  The CLI itself needs ``errors``, ``lattice`` and ``invariants``, and
-each subcommand adds only the engines its handler calls.  The module sets are
-read in fresh interpreters, so a top-level engine import cannot come back
-unnoticed.
+each subcommand adds only the engines its handler calls; no run, a usage
+error included, imports ``argparse``, since the CLI reads argv from its own
+command table.  The module sets are read in fresh interpreters, so a
+top-level engine import, or argparse, cannot come back unnoticed.
 """
 
 import importlib
@@ -43,14 +44,14 @@ FIBER = '{"a":0,"b":1,"exc":[]}'
 CLI_BASE = {"ruledmoduli", "ruledmoduli.cli", "ruledmoduli.errors", "ruledmoduli.lattice",
             "ruledmoduli.invariants"}
 
-# runs cli.run(argv) with argv from sys.argv[1], then prints the exit code and
-# the package modules then loaded
+# runs cli.run(argv) with argv from sys.argv[1], then prints the exit code, the
+# package modules then loaded and whether argparse is loaded
 CLI_CHILD = """
 import contextlib, io, json, sys
 from ruledmoduli import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = cli.run(json.loads(sys.argv[1]))
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("ruledmoduli"))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("ruledmoduli")), "argparse" in sys.modules]))
 """
 
 
@@ -101,14 +102,16 @@ class TestLoadedModules:
         (["rr", "--config", CONFIG_00, "--divisor", FIBER], 0, set()),
         (["--schema", "walls"], 0, set()),
         (["walls", "--config", CONFIG_00, "--c1"], 2, set()),
+        (["walls", "--help"], 0, set()),
         (["walls", "--config", CONFIG_00, "--c1", FIBER, "--c2", "2", "--polarization", '{"a":3,"b":1,"exc":[]}'],
          0, {"walls"}),
         (["family-dim", "example", "--n", "3"], 0, {"families"}),
         (["stability", "--config", CONFIG_00, "--sub", '{"a":0,"b":-1,"exc":[]}', "--quot",
           '{"a":0,"b":2,"exc":[]}', "--ell", "1", "--polarization", '{"a":1,"b":1,"exc":[]}'],
          0, {"stability"}),
-    ], ids=["rr", "schema", "usage-error", "walls", "family-dim-example", "stability"])
+    ], ids=["rr", "schema", "usage-error", "help", "walls", "family-dim-example", "stability"])
     def test_subcommand_loads_only_its_engines(self, argv, exit_code, engines):
-        code, loaded = fresh(CLI_CHILD, json.dumps(argv))
+        code, loaded, argparse_loaded = fresh(CLI_CHILD, json.dumps(argv))
         assert code == exit_code
         assert set(loaded) == CLI_BASE | {f"ruledmoduli.{engine}" for engine in engines}
+        assert not argparse_loaded
