@@ -40,11 +40,10 @@ import json
 import sys
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from . import invariants
 from .errors import INT64_MAX, INT64_MIN, IntegerOverflowError, RuledModuliError, checked_int
-from .lattice import DivisorClass, Polarization, SurfaceConfig, canonical_class, euler_char, intersect
+from .lattice import DivisorClass, Polarization, SurfaceConfig, _Record, canonical_class, euler_char, intersect
 from .invariants import ChernData, ExtensionDatum
 
 
@@ -52,8 +51,7 @@ class UsageError(Exception):
     """A command line or payload the CLI refuses: exit code 2, reported on stderr."""
 
 
-@dataclass(frozen=True)
-class _Command:
+class _Command(_Record):
     """One subcommand (or ``family-dim`` variant): its flags, result and handler.
 
     ``flags`` maps each flag to its payload kind when it is required, or to
@@ -61,9 +59,10 @@ class _Command:
     values by flag name, ``--box-a`` as ``box_a``, and returns ``(result, notes)``.
     """
 
-    flags: dict
-    result: dict
-    handler: Callable[..., tuple[dict, list[str]]]
+    __slots__ = _compared = _shown = ("flags", "result", "handler")
+
+    def __init__(self, flags: dict, result: dict, handler: Callable[..., tuple[dict, list[str]]]) -> None:
+        self._fill(flags, result, handler)
 
 
 # The output format: what --schema prints for a divisor, a wall and a family

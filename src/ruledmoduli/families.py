@@ -10,7 +10,6 @@ parity of c1.F and the base genus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -25,6 +24,7 @@ from .invariants import (
 from .lattice import (
     DivisorClass,
     SurfaceConfig,
+    _Record,
     _canonical_term,
     _effectivity_run,
     _require_surface,
@@ -41,8 +41,7 @@ class Dominance(Enum):
     EXCEEDS = "exceeds"
 
 
-@dataclass(frozen=True)
-class VanishingAssumption:
+class VanishingAssumption(_Record):
     """A divisor class whose space of sections is assumed to vanish.
 
     When ``twisted_by_ideal`` is set the assumption concerns the class
@@ -50,16 +49,18 @@ class VanishingAssumption:
     is recorded since the subscheme is never materialized.
     """
 
-    divisor: DivisorClass
-    twisted_by_ideal: bool = False
+    __slots__ = _compared = _shown = ("divisor", "twisted_by_ideal")
+
+    def __init__(self, divisor: DivisorClass, twisted_by_ideal: bool = False) -> None:
+        self._fill(divisor, twisted_by_ideal)
 
 
-@dataclass(frozen=True)
-class FamilyReport:
-    family_dim: int
-    moduli_dim: int
-    ext1: int
-    assumptions: tuple[VanishingAssumption, ...] = ()
+class FamilyReport(_Record):
+    __slots__ = _compared = _shown = ("family_dim", "moduli_dim", "ext1", "assumptions")
+
+    def __init__(self, family_dim: int, moduli_dim: int, ext1: int,
+                 assumptions: tuple[VanishingAssumption, ...] = ()) -> None:
+        self._fill(family_dim, moduli_dim, ext1, assumptions)
 
     @property
     def dominance(self) -> Dominance:
@@ -252,8 +253,7 @@ class Rationality(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(_Record):
     """Birational shape of the moduli space, by parity of c1.F and genus.
 
     ``hilbert_exponent`` is the symmetric-product exponent of the base of
@@ -262,10 +262,11 @@ class Classification:
     normalized c2 is negative and no such exponent makes sense.
     """
 
-    kind: StructureKind
-    rationality: Rationality
-    hilbert_exponent: int | None
-    description: str
+    __slots__ = _compared = _shown = ("kind", "rationality", "hilbert_exponent", "description")
+
+    def __init__(self, kind: StructureKind, rationality: Rationality, hilbert_exponent: int | None,
+                 description: str) -> None:
+        self._fill(kind, rationality, hilbert_exponent, description)
 
 
 def classify_structure(config: SurfaceConfig, chern: ChernData) -> Classification:

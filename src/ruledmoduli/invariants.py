@@ -20,22 +20,20 @@ Jacobian dimension g and the length ell.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 from .errors import NegativeLengthWarning, ParityError, checked_int, checked_ints
-from .lattice import DivisorClass, SurfaceConfig, _require_same_config, pairing
+from .lattice import DivisorClass, SurfaceConfig, _Record, _require_same_config, pairing
 
 
-@dataclass(frozen=True)
-class ChernData:
+class ChernData(_Record):
     """(c1, c2) of a rank-two bundle; the discriminant 4*c2 - c1^2 is the
     twist-invariant combination everything downstream depends on."""
 
-    c1: DivisorClass
-    c2: int
+    __slots__ = _compared = _shown = ("c1", "c2")
 
-    def __post_init__(self) -> None:
-        checked_int(self.c2, "c2")
+    def __init__(self, c1: DivisorClass, c2: int) -> None:
+        self._fill(c1, c2)
+        checked_int(c2, "c2")
 
     @property
     def config(self) -> SurfaceConfig:
@@ -46,8 +44,7 @@ class ChernData:
         return checked_int(4 * self.c2 - pairing(self.c1, self.c1), "discriminant")
 
 
-@dataclass(frozen=True)
-class ExtensionDatum:
+class ExtensionDatum(_Record):
     """Numerical data (d, r, q_i) of an extension presentation of a bundle.
 
     Multiplicities q_i >= 0 describe the exceptional divisor sum(q_i Ei)
@@ -55,25 +52,23 @@ class ExtensionDatum:
     the larger summand of the fibre splitting type.
     """
 
-    d: int
-    r: int
-    q: tuple[int, ...]
-    chern: ChernData
+    __slots__ = _compared = _shown = ("d", "r", "q", "chern")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "q", tuple(self.q))
-        checked_ints(d=self.d, r=self.r)
-        config = self.chern.config
-        if len(self.q) != config.num_points:
+    def __init__(self, d: int, r: int, q: tuple[int, ...], chern: ChernData) -> None:
+        q = tuple(q)
+        self._fill(d, r, q, chern)
+        checked_ints(d=d, r=r)
+        config = chern.config
+        if len(q) != config.num_points:
             raise ValueError(
-                f"expected {config.num_points} multiplicities, got {len(self.q)}"
+                f"expected {config.num_points} multiplicities, got {len(q)}"
             )
-        if any(checked_int(qi, "q entry") < 0 for qi in self.q):
-            raise ValueError(f"multiplicities must be >= 0, got {self.q}")
-        if 2 * self.d < self.chern.c1.a:
+        if any(checked_int(qi, "q entry") < 0 for qi in q):
+            raise ValueError(f"multiplicities must be >= 0, got {q}")
+        if 2 * d < chern.c1.a:
             raise ValueError(
-                f"need 2d >= c1.a (d the larger fibre degree), got d={self.d}, "
-                f"c1.a={self.chern.c1.a}"
+                f"need 2d >= c1.a (d the larger fibre degree), got d={d}, "
+                f"c1.a={chern.c1.a}"
             )
 
     @property

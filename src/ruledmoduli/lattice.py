@@ -15,7 +15,6 @@ declared 64-bit range raise instead of degrading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
 from operator import add, mul, neg, sub
@@ -32,24 +31,71 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class SurfaceConfig:
+class _Record:
+    """The frozen base of the package's records: a subclass names its fields
+    in ``__slots__`` and fills them in ``__init__`` through ``_fill``.
+
+    Assigning or deleting an attribute raises AttributeError ("cannot
+    assign to field 'x'", "cannot delete field 'x'").  ``==`` and ``hash``
+    read the tuple of the fields in ``_compared``, and ``repr`` shows those
+    in ``_shown``.  ``__reduce__`` rebuilds a record from its slots, for
+    ``copy`` and ``pickle``.
+    """
+
+    __slots__ = ()
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(map(getattr, repeat(self), self._compared))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._shown])
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return _restore, (type(self), tuple(map(getattr, repeat(self), self.__slots__)))
+
+
+def _restore(cls, values):
+    """The record of type ``cls`` with the slot values ``values``."""
+    self = object.__new__(cls)
+    self._fill(*values)
+    return self
+
+
+class SurfaceConfig(_Record):
     """The triple (genus, e, m) of ints that fixes the surface and its lattice."""
 
-    genus: int
-    invariant_e: int
-    num_points: int = 0
+    __slots__ = _compared = _shown = ("genus", "invariant_e", "num_points")
 
-    def __post_init__(self) -> None:
-        checked_ints(genus=self.genus, invariant_e=self.invariant_e, num_points=self.num_points)
-        if self.genus < 0:
-            raise ValueError(f"genus must be >= 0, got {self.genus}")
-        if self.num_points < 0:
-            raise ValueError(f"num_points must be >= 0, got {self.num_points}")
-        if self.genus == 0 and self.invariant_e < 0:
+    def __init__(self, genus: int, invariant_e: int, num_points: int = 0) -> None:
+        self._fill(genus, invariant_e, num_points)
+        checked_ints(genus=genus, invariant_e=invariant_e, num_points=num_points)
+        if genus < 0:
+            raise ValueError(f"genus must be >= 0, got {genus}")
+        if num_points < 0:
+            raise ValueError(f"num_points must be >= 0, got {num_points}")
+        if genus == 0 and invariant_e < 0:
             raise ValueError(
                 "a rational ruled surface has invariant e >= 0, "
-                f"got e = {self.invariant_e}"
+                f"got e = {invariant_e}"
             )
 
     @property
@@ -83,20 +129,24 @@ class SurfaceConfig:
         return self.fiber() - self.exceptional(i)
 
 
-@dataclass(frozen=True, slots=True)
-class DivisorClass:
+class DivisorClass(_Record):
     """Integer vector (a, b, c_1..c_m) in the basis {C0, F, E1..Em}.
 
     Every coordinate must be an ``int`` (``bool`` is not one); anything else
     raises TypeError.  A class is range-checked once, when it is built: the
     constructor and the arithmetic operators check the coordinates of the
-    class they return and nothing else.
+    class they return and nothing else.  ``config`` is compared but not shown.
     """
 
-    a: int
-    b: int
-    exc: tuple[int, ...]
-    config: SurfaceConfig = field(repr=False)
+    __slots__ = _compared = ("a", "b", "exc", "config")
+    _shown = ("a", "b", "exc")
+
+    def __init__(self, a: int, b: int, exc: tuple[int, ...], config: SurfaceConfig) -> None:
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_exc(self, exc)
+        _set_config(self, config)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         exc = self.exc
@@ -116,7 +166,7 @@ class DivisorClass:
         range-checked the coordinates and hold ``exc`` as a tuple of length m.
 
         The slots are filled through their member descriptors, which skips
-        the frozen ``__setattr__`` and the ``__init__`` call.
+        the ``__init__`` call and ``_Record.__setattr__``, which raises.
         """
         self = object.__new__(cls)
         _set_a(self, a)
@@ -207,8 +257,7 @@ class EffectivityVerdict(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Effectivity:
+class Effectivity(_Record):
     """Semi-decision for membership in the effective cone.
 
     Certified answers only: an EFFECTIVE verdict carries an explicit
@@ -216,14 +265,14 @@ class Effectivity:
     the violated necessary condition.  Everything else is UNKNOWN.
     """
 
-    verdict: EffectivityVerdict
-    decomposition: dict[str, int] | None = None
-    violated: str | None = None
+    __slots__ = _compared = _shown = ("verdict", "decomposition", "violated")
 
-    def __post_init__(self) -> None:
-        if self.verdict is EffectivityVerdict.EFFECTIVE and self.decomposition is None:
+    def __init__(self, verdict: EffectivityVerdict, decomposition: dict[str, int] | None = None,
+                 violated: str | None = None) -> None:
+        self._fill(verdict, decomposition, violated)
+        if verdict is EffectivityVerdict.EFFECTIVE and decomposition is None:
             raise ValueError("effective verdicts must carry a decomposition witness")
-        if self.verdict is EffectivityVerdict.NOT_EFFECTIVE and self.violated is None:
+        if verdict is EffectivityVerdict.NOT_EFFECTIVE and violated is None:
             raise ValueError("not-effective verdicts must carry a violated condition")
 
 
@@ -257,23 +306,22 @@ def intersect(d1: DivisorClass, d2: DivisorClass) -> int:
     return checked_int(pairing(d1, d2), "intersection number")
 
 
-@dataclass(frozen=True)
-class Polarization:
+class Polarization(_Record):
     """An ample candidate; construction rejects classes failing the checks.
 
     ``checks`` records necessary positivity values for an ample class L:
     L.L, L.F, L.C0 and, for each blown-up point, L.Ei and L.(F-Ei).  A class
     failing any of them cannot be ample; passing all of them is a filter, not
-    an ampleness certificate.  The wall and stability searches read L's basis
-    pairings from here; it lives in ``lattice`` so that neither engine needs
-    the other.
+    an ampleness certificate.  ``checks`` is neither compared nor shown.  The
+    wall and stability searches read L's basis pairings from here; it lives
+    in ``lattice`` so that neither engine needs the other.
     """
 
-    cls: DivisorClass
-    checks: dict[str, int] = field(init=False, compare=False, repr=False)
+    __slots__ = ("cls", "checks")
+    _compared = _shown = ("cls",)
 
-    def __post_init__(self) -> None:
-        L, config = self.cls, self.cls.config
+    def __init__(self, cls: DivisorClass) -> None:
+        L, config = cls, cls.config
         checks = {
             "L.L": intersect(L, L),
             "L.F": intersect(L, config.fiber()),
@@ -287,7 +335,7 @@ class Polarization:
                 raise InvalidPolarizationError(
                     f"{name} = {value} must be positive for an ample class"
                 )
-        object.__setattr__(self, "checks", checks)
+        self._fill(cls, checks)
 
     @property
     def config(self) -> SurfaceConfig:

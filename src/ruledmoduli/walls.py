@@ -63,28 +63,25 @@ from __future__ import annotations
 
 import gc
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import groupby
 from math import isqrt
 from operator import attrgetter, itemgetter
 
 from .errors import INT64_MAX, INT64_MIN, NotApplicableError, SearchBoundsError, checked_int
 from .invariants import ChernData
-from .lattice import DivisorClass, Polarization, SurfaceConfig, _require_surface
+from .lattice import DivisorClass, Polarization, SurfaceConfig, _Record, _require_surface
 
 
 _BUDGET = 2_000_000  # the work units of one wall query, counted by _slices
 
 
-@dataclass(frozen=True, slots=True)
-class WallClass:
+class WallClass(_Record):
     """A wall zeta with its square, induced length, and signs against F and L."""
 
-    zeta: DivisorClass
-    zeta_sq: int
-    ell: int
-    zF: int
-    zL: int
+    __slots__ = _compared = _shown = ("zeta", "zeta_sq", "ell", "zF", "zL")
+
+    def __init__(self, zeta: DivisorClass, zeta_sq: int, ell: int, zF: int, zL: int) -> None:
+        self._fill(zeta, zeta_sq, ell, zF, zL)
 
 
 _set_zeta, _set_zeta_sq, _set_ell, _set_zF, _set_zL = (
@@ -96,8 +93,7 @@ _set_zeta, _set_zeta_sq, _set_ell, _set_zF, _set_zL = (
 )
 
 
-@dataclass(frozen=True)
-class WallSearch:
+class WallSearch(_Record):
     """Full outcome of a wall enumeration.
 
     ``walls`` strictly separate F from L (zeta.L < 0); ``boundary`` collects
@@ -108,23 +104,24 @@ class WallSearch:
     zeta = c1 (mod 2) gives zeta^2 = c1^2 (mod 4), so the division is exact.
     """
 
-    walls: tuple[WallClass, ...]
-    boundary: tuple[WallClass, ...]
+    __slots__ = _compared = _shown = ("walls", "boundary")
     excluded_negative_length = 0
 
+    def __init__(self, walls: tuple[WallClass, ...], boundary: tuple[WallClass, ...]) -> None:
+        self._fill(walls, boundary)
 
-@dataclass(frozen=True)
-class Suitability:
-    suitable: bool
-    witness: WallClass | None
-    boundary: tuple[WallClass, ...]
+
+class Suitability(_Record):
+    __slots__ = _compared = _shown = ("suitable", "witness", "boundary")
+
+    def __init__(self, suitable: bool, witness: WallClass | None, boundary: tuple[WallClass, ...]) -> None:
+        self._fill(suitable, witness, boundary)
 
     def __bool__(self) -> bool:
         return self.suitable
 
 
-@dataclass(frozen=True)
-class DvZeroCertificate:
+class DvZeroCertificate(_Record):
     """Outcome of the balanced-splitting certificate.
 
     ``certified`` means every stable bundle with the given invariants has
@@ -132,9 +129,11 @@ class DvZeroCertificate:
     shape the contrapositive produces.
     """
 
-    certified: bool
-    separating_wall: WallClass | None
-    boundary: tuple[WallClass, ...]
+    __slots__ = _compared = _shown = ("certified", "separating_wall", "boundary")
+
+    def __init__(self, certified: bool, separating_wall: WallClass | None,
+                 boundary: tuple[WallClass, ...]) -> None:
+        self._fill(certified, separating_wall, boundary)
 
     @property
     def d_value(self) -> int | None:
@@ -278,8 +277,9 @@ def _wall_objects(config):
     """The per-run builder of ``wall_search`` and the decisions: for the slice
     (a, exc), the maker of one ``WallClass`` per wall, around a fresh zeta
     that shares the slice's exc tuple.  The maker fills the wall's slots
-    through their member descriptors, which skips the frozen ``__setattr__``
-    and the ``__init__`` call: the engines compute every field themselves."""
+    through their member descriptors, which skips the ``__init__`` call and
+    ``_Record.__setattr__``, which raises: the engines compute every field
+    themselves."""
     new_class, new = DivisorClass._unchecked, object.__new__
 
     def builder(a, exc):

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import gc
 import json
 import random
@@ -15,8 +14,8 @@ from conftest import random_chern, random_polarization
 from ruledmoduli import (ChernData, ExtensionDatum, Polarization, SearchBoundsError, SurfaceConfig, WallClass,
                          c1f1_report, certify_dv_zero, is_suitable, wall_search)
 from ruledmoduli import cli, walls
-from ruledmoduli.cli import (COMMANDS, _DIVISOR_DOC, _WALL_DOC, UsageError, _JSONText, _c1f1, _canonical, _certify_dv0,
-                             _parse, _schema, _stability, _suitable, _wall_json, _wall_writer, _walls, run)
+from ruledmoduli.cli import (COMMANDS, _DIVISOR_DOC, _WALL_DOC, UsageError, _Command, _JSONText, _c1f1, _canonical,
+                             _certify_dv0, _parse, _schema, _stability, _suitable, _wall_json, _wall_writer, _walls, run)
 from ruledmoduli.errors import IntegerOverflowError
 
 CONFIG_00 = '{"genus":0,"e":0,"points":0}'
@@ -561,7 +560,8 @@ class TestErrorPaths:
     def test_out_of_range_result_integer_is_domain_error(self, capsys, tmp_path, monkeypatch, result):
         """The writer's range check backs up the engines' checks: a result
         integer outside the range becomes an error document, written whole."""
-        monkeypatch.setitem(COMMANDS, "rr", dataclasses.replace(COMMANDS["rr"], handler=lambda **_: (result, [])))
+        rr = COMMANDS["rr"]
+        monkeypatch.setitem(COMMANDS, "rr", _Command(rr.flags, rr.result, lambda **_: (result, [])))
         argv = ["rr", "--config", CONFIG_G2, "--divisor", FIBER]
         path = tmp_path / "out.json"
         for prefix in ([], ["--output", str(path)]):

@@ -1,7 +1,8 @@
+import copy
 import itertools
 import json
+import pickle
 import re
-from dataclasses import FrozenInstanceError
 from enum import Enum
 from types import ModuleType
 
@@ -19,20 +20,29 @@ from conftest import (
     rebuild_from_decomposition,
 )
 from ruledmoduli.errors import INT64_MAX, INT64_MIN
-from ruledmoduli.cli import _divisor_doc, _parse
+from ruledmoduli.cli import COMMANDS, _Command, _divisor_doc, _parse
 from ruledmoduli.lattice import _canonical_term, _effectivity_run, pairing
 from ruledmoduli import (
     ChernData,
+    Classification,
     ConfigMismatchError,
     DivisorClass,
+    DvZeroCertificate,
     Effectivity,
     EffectivityVerdict,
     ExtensionDatum,
+    FamilyReport,
     IntegerOverflowError,
     Polarization,
+    Rationality,
     SearchBox,
+    StructureKind,
+    Suitability,
     SurfaceConfig,
     UnsupportedSurfaceError,
+    VanishingAssumption,
+    WallClass,
+    WallSearch,
     c1f0_report,
     c1f1_report,
     canonical_class,
@@ -496,11 +506,9 @@ class TestValidationAndJson:
         assert fast != DivisorClass._unchecked(3, -4, (5, -5), cfg)
         for d in (checked, fast):
             assert not hasattr(d, "__dict__")
-            with pytest.raises(FrozenInstanceError):
+            with pytest.raises(AttributeError, match="^cannot assign to field 'a'$"):
                 d.a = 0
-            # a new attribute has no slot; CPython before 3.12 raises
-            # TypeError from the frozen __setattr__ of a slotted dataclass
-            with pytest.raises((AttributeError, TypeError)):
+            with pytest.raises(AttributeError):
                 d.note = "classes take no new attributes"
 
     def test_divisor_checks_an_explicit_exc(self):
@@ -643,3 +651,73 @@ class TestValidationAndJson:
         d = cfg.divisor(3, -4, (5, -6))
         assert _parse("divisor", json.dumps(_divisor_doc(d)), "--divisor", cfg) == d
 
+
+
+def _record_rows():
+    """One instance of each record a CLI child loads, as (record, the keyword
+    arguments that rebuild it with every defaulted field left out, its repr)."""
+    cfg = SurfaceConfig(0, 0, 1)
+    divisor = DivisorClass(1, 2, (3,), cfg)
+    chern = ChernData(cfg.divisor(0, 1, (1,)), 4)
+    wall = WallClass(cfg.divisor(2, -1, (1,)), -8, 1, 2, -3)
+    chern_text = "ChernData(c1=DivisorClass(a=0, b=1, exc=(1,)), c2=4)"
+    wall_text = "WallClass(zeta=DivisorClass(a=2, b=-1, exc=(1,)), zeta_sq=-8, ell=1, zF=2, zL=-3)"
+    command = COMMANDS["twist"]
+    return [
+        (SurfaceConfig(0, 1, 0), {"genus": 0, "invariant_e": 1},
+         "SurfaceConfig(genus=0, invariant_e=1, num_points=0)"),
+        (divisor, {"a": 1, "b": 2, "exc": [3], "config": cfg}, "DivisorClass(a=1, b=2, exc=(3,))"),
+        (Effectivity(EffectivityVerdict.NOT_EFFECTIVE, None, "a < 0"),
+         {"verdict": EffectivityVerdict.NOT_EFFECTIVE, "violated": "a < 0"},
+         "Effectivity(verdict=<EffectivityVerdict.NOT_EFFECTIVE: 'not_effective'>, decomposition=None,"
+         " violated='a < 0')"),
+        (Polarization(cfg.divisor(2, 3, (-1,))), {"cls": cfg.divisor(2, 3, (-1,))},
+         "Polarization(cls=DivisorClass(a=2, b=3, exc=(-1,)))"),
+        (chern, {"c1": cfg.divisor(0, 1, (1,)), "c2": 4}, chern_text),
+        (ExtensionDatum(1, 2, (0,), chern), {"d": 1, "r": 2, "q": [0], "chern": chern},
+         f"ExtensionDatum(d=1, r=2, q=(0,), chern={chern_text})"),
+        (VanishingAssumption(divisor, False), {"divisor": divisor},
+         "VanishingAssumption(divisor=DivisorClass(a=1, b=2, exc=(3,)), twisted_by_ideal=False)"),
+        (FamilyReport(5, 7, 3, ()), {"family_dim": 5, "moduli_dim": 7, "ext1": 3},
+         "FamilyReport(family_dim=5, moduli_dim=7, ext1=3, assumptions=())"),
+        (Classification(StructureKind.ODD_FIBER, Rationality.RATIONAL, 0, "odd"),
+         {"kind": StructureKind.ODD_FIBER, "rationality": Rationality.RATIONAL, "hilbert_exponent": 0,
+          "description": "odd"},
+         "Classification(kind=<StructureKind.ODD_FIBER: 'odd_fiber'>, rationality=<Rationality.RATIONAL:"
+         " 'rational'>, hilbert_exponent=0, description='odd')"),
+        (wall, {"zeta": cfg.divisor(2, -1, (1,)), "zeta_sq": -8, "ell": 1, "zF": 2, "zL": -3}, wall_text),
+        (WallSearch((wall,), ()), {"walls": (wall,), "boundary": ()},
+         f"WallSearch(walls=({wall_text},), boundary=())"),
+        (Suitability(False, wall, ()), {"suitable": False, "witness": wall, "boundary": ()},
+         f"Suitability(suitable=False, witness={wall_text}, boundary=())"),
+        (DvZeroCertificate(True, None, (wall,)), {"certified": True, "separating_wall": None, "boundary": (wall,)},
+         f"DvZeroCertificate(certified=True, separating_wall=None, boundary=({wall_text},))"),
+        (command, {"flags": dict(command.flags), "result": dict(command.result), "handler": command.handler},
+         f"_Command(flags={command.flags!r}, result={command.result!r}, handler={command.handler!r})"),
+    ]
+
+
+RECORD_ROWS = _record_rows()
+
+
+class TestRecords:
+    @pytest.mark.parametrize("record,kwargs,text", RECORD_ROWS, ids=[type(row[0]).__name__ for row in RECORD_ROWS])
+    def test_value_semantics(self, record, kwargs, text):
+        rebuilt = type(record)(**kwargs)
+        assert rebuilt == record and not rebuilt != record
+        assert repr(record) == repr(rebuilt) == text
+        if isinstance(record, _Command):  # its flags and result are dicts
+            with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+                hash(rebuilt)
+        else:
+            assert hash(rebuilt) == hash(record)
+        for clone in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert type(clone) is type(record) and clone == record and repr(clone) == text
+            # Polarization.checks is neither compared nor shown
+            assert getattr(clone, "checks", None) == getattr(record, "checks", None)
+        field = next(iter(kwargs))
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
+            setattr(record, field, kwargs[field])
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{field}'$"):
+            delattr(record, field)
+        assert getattr(record, field) == kwargs[field]

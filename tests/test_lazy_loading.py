@@ -5,8 +5,11 @@
 access.  The CLI itself needs ``errors``, ``lattice`` and ``invariants``, and
 each subcommand adds only the engines its handler calls; no run, a usage
 error included, imports ``argparse``, since the CLI reads argv from its own
-command table.  The module sets are read in fresh interpreters, so a
-top-level engine import, or argparse, cannot come back unnoticed.
+command table.  The records of every module but ``stability`` are slotted
+classes on ``lattice._Record``, so only a ``stability`` run imports
+``dataclasses`` (and with it ``inspect``).  The module sets are read in fresh
+interpreters, so a top-level engine import, argparse or dataclasses cannot
+come back unnoticed.
 """
 
 import importlib
@@ -44,14 +47,20 @@ FIBER = '{"a":0,"b":1,"exc":[]}'
 CLI_BASE = {"ruledmoduli", "ruledmoduli.cli", "ruledmoduli.errors", "ruledmoduli.lattice",
             "ruledmoduli.invariants"}
 
+# which of dataclasses and inspect a child's imports after ``before`` added: a
+# site may preload them, so the child takes sys.modules before its package import
+HEAVY_ADDED = 'sorted({"dataclasses", "inspect"} - before & set(sys.modules))'
+
 # runs cli.run(argv) with argv from sys.argv[1], then prints the exit code, the
-# package modules then loaded and whether argparse is loaded
-CLI_CHILD = """
+# package modules then loaded, whether argparse is loaded and HEAVY_ADDED
+CLI_CHILD = f"""
 import contextlib, io, json, sys
+before = set(sys.modules)
 from ruledmoduli import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = cli.run(json.loads(sys.argv[1]))
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("ruledmoduli")), "argparse" in sys.modules]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("ruledmoduli")), "argparse" in sys.modules,
+                  {HEAVY_ADDED}]))
 """
 
 
@@ -111,7 +120,16 @@ class TestLoadedModules:
          0, {"stability"}),
     ], ids=["rr", "schema", "usage-error", "help", "walls", "family-dim-example", "stability"])
     def test_subcommand_loads_only_its_engines(self, argv, exit_code, engines):
-        code, loaded, argparse_loaded = fresh(CLI_CHILD, json.dumps(argv))
+        code, loaded, argparse_loaded, heavy_added = fresh(CLI_CHILD, json.dumps(argv))
         assert code == exit_code
         assert set(loaded) == CLI_BASE | {f"ruledmoduli.{engine}" for engine in engines}
         assert not argparse_loaded
+        if "stability" not in engines:
+            assert heavy_added == []
+
+    def test_engines_without_stability_load_no_dataclasses(self):
+        added = fresh("import json, sys\n"
+                      "before = set(sys.modules)\n"
+                      "import ruledmoduli.walls, ruledmoduli.families\n"
+                      f"print(json.dumps({HEAVY_ADDED}))")
+        assert added == []

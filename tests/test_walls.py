@@ -1,6 +1,5 @@
 import gc
 import random
-from dataclasses import FrozenInstanceError
 from math import isqrt
 
 import pytest
@@ -336,11 +335,9 @@ class TestWallClass:
         assert fast != WallClass(zeta, -8, 1, 2, -1)
         for wall in (built, fast):
             assert not hasattr(wall, "__dict__")
-            with pytest.raises(FrozenInstanceError):
+            with pytest.raises(AttributeError, match="^cannot assign to field 'zL'$"):
                 wall.zL = 0
-            # a new attribute has no slot; CPython before 3.12 raises
-            # TypeError from the frozen __setattr__ of a slotted dataclass
-            with pytest.raises((AttributeError, TypeError)):
+            with pytest.raises(AttributeError):
                 wall.note = "walls take no new attributes"
 
 
